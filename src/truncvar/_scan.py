@@ -10,6 +10,20 @@ switching whenever the path moves at least ``c`` away from the tracked
 extreme. Threshold tests are exact floating-point ``>=`` comparisons, so
 inputs straddling the level by one ulp behave deterministically.
 
+The totals scan can also emit its level-c *skeleton*: the extreme anchored
+at each trigger, in time order, then the extreme tracked when the samples
+run out (the running minimum if nothing triggered). These are the regime
+lows and highs of the per-sample scan, interleaved. For every level
+``c' >= c`` the totals scan of the skeleton returns bit-identical
+``(up, down, direction)`` to the scan of the samples: every sample left
+out lies within ``c`` of the extremes around it, so at ``c'`` it never
+becomes an anchored extreme, and a trigger it fires in the scan of the
+samples fires at the next skeleton value instead, from the same anchor.
+The scan of the skeleton thus adds the same anchor differences in the
+same order. A skeleton
+has at most n values and is itself a path, so the skeleton of a skeleton
+at a still higher level is again exact for the samples.
+
 Kernels are compiled with numba when it is importable; the plain-Python
 definitions below are both the fallback and the reference semantics.
 Accumulation is left to right, which keeps reruns bit-reproducible.
@@ -35,12 +49,16 @@ DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
 KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
-def _tv_scan_impl(values, c):
-    """Totals-only scan: returns (up_total, down_total, direction_code).
+def _tv_scan_impl(values, c, skeleton):
+    """Totals-only scan: returns (up_total, down_total, direction_code, k).
 
-    O(1) memory; this is the fast path for truncated-variation queries.
+    O(1) working memory; this is the fast path for truncated-variation
+    queries. A nonempty ``skeleton`` buffer (length at least n) receives the
+    level-c skeleton in ``skeleton[:k]``; with an empty buffer ``k`` is 0.
     """
     n = values.shape[0]
+    keep = skeleton.shape[0] > 0
+    k = 0
     run_min = values[0]
     run_max = values[0]
     phase = 0
@@ -60,11 +78,17 @@ def _tv_scan_impl(values, c):
                 direction = 1
                 phase = 1
                 anchor_min = run_min
+                if keep:
+                    skeleton[k] = anchor_min
+                    k += 1
                 run_max = v
             elif run_max - v >= c:
                 direction = 2
                 phase = 2
                 anchor_max = run_max
+                if keep:
+                    skeleton[k] = anchor_max
+                    k += 1
                 run_min = v
         elif phase == 1:
             if v > run_max:
@@ -72,6 +96,9 @@ def _tv_scan_impl(values, c):
             if run_max - v >= c:
                 up_total = up_total + ((run_max - anchor_min) - c)
                 anchor_max = run_max
+                if keep:
+                    skeleton[k] = anchor_max
+                    k += 1
                 phase = 2
                 run_min = v
         else:
@@ -80,13 +107,19 @@ def _tv_scan_impl(values, c):
             if v - run_min >= c:
                 down_total = down_total + ((anchor_max - run_min) - c)
                 anchor_min = run_min
+                if keep:
+                    skeleton[k] = anchor_min
+                    k += 1
                 phase = 1
                 run_max = v
     if phase == 1:
         up_total = up_total + ((run_max - anchor_min) - c)
     elif phase == 2:
         down_total = down_total + ((anchor_max - run_min) - c)
-    return up_total, down_total, direction
+    if keep:
+        skeleton[k] = run_max if phase == 1 else run_min
+        k += 1
+    return up_total, down_total, direction, k
 
 
 def _full_scan_impl(values, c, half):
@@ -283,9 +316,22 @@ class ScanResult(NamedTuple):
     direction: int
 
 
-def tv_scan(values: np.ndarray, c: float) -> tuple[float, float, int]:
-    up_total, down_total, direction = _tv_scan(values, c)
-    return float(up_total), float(down_total), int(direction)
+_NO_SKELETON = np.empty(0, np.float64)
+
+
+def tv_scan(
+    values: np.ndarray, c: float, keep_skeleton: bool = False
+) -> tuple[float, float, int, np.ndarray | None]:
+    """Totals ``(up, down, direction)`` at level c, plus the level-c skeleton.
+
+    The skeleton is None unless ``keep_skeleton`` is set.
+    """
+    if not keep_skeleton:
+        up_total, down_total, direction, _ = _tv_scan(values, c, _NO_SKELETON)
+        return float(up_total), float(down_total), int(direction), None
+    buf = np.empty(values.shape[0], np.float64)
+    up_total, down_total, direction, k = _tv_scan(values, c, buf)
+    return float(up_total), float(down_total), int(direction), buf[:k]
 
 
 def full_scan(values: np.ndarray, c: float) -> ScanResult:

@@ -1,7 +1,8 @@
 """Two-column text serialization for paths and level curves.
 
 Path files are UTF-8 text, one ``time,value`` row per sample, with an
-optional leading ``time,value`` header. Numbers are written with shortest
+optional leading ``time,value`` header; a UTF-8 byte-order mark before the
+first row is skipped. Numbers are written with shortest
 round-trip precision (``repr``), so a write/read cycle reproduces the
 exact float64 bits. Rows must already be time-sorted; unsorted input is
 rejected rather than silently reordered, to surface data bugs upstream.
@@ -45,7 +46,7 @@ def write_path(path: SampledPath, dest) -> None:
 
 def read_path(src) -> SampledPath:
     """Parse a path file; raises FileFormatError on malformed rows."""
-    text = Path(src).read_text(encoding="utf-8")
+    text = Path(src).read_text(encoding="utf-8-sig")
     times: list[float] = []
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._scan import tv_scan
+from ._scan import full_scan, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -23,7 +23,6 @@ from .path_model import (
     level_value,
     osc_norm,
 )
-from ._scan import full_scan
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class SweepCurve:
 def truncated_variation(path: SampledPath, c) -> TruncatedVariations:
     """One-pass evaluation; ``tv`` is constructed as ``utv + dtv``."""
     c = level_value(c)
-    utv, dtv, _ = tv_scan(path.values, c)
+    utv, dtv, _, _ = tv_scan(path.values, c)
     return TruncatedVariations(utv=utv, dtv=dtv, tv=utv + dtv)
 
 
@@ -92,11 +91,32 @@ def prefix_curves(path: SampledPath, c):
     return _frozen(scan.up), _frozen(scan.down), _frozen(scan.up + scan.down)
 
 
+def _ladder_tv(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``tv`` of the samples at each level, bit-identical to one scan per level.
+
+    Levels are visited in ascending order, and each scan runs on the
+    skeleton emitted by the scan before it rather than on the samples (see
+    ``_scan``), so the work shrinks as the level rises.
+    """
+    order = np.argsort(levels, kind="stable")
+    level_value(levels[order[0]])  # the smallest level vouches for the rest
+    out = np.empty(levels.shape[0])
+    skeleton = values
+    for i in order:
+        up, down, _, skeleton = tv_scan(skeleton, float(levels[i]), True)
+        out[i] = up + down
+    return out
+
+
 def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     """Evaluate the total truncated variation on an increasing level grid.
 
-    Level evaluations are independent of one another; order of evaluation
-    does not affect the result.
+    The levels form a ladder: each level is scanned on the skeleton that the
+    scan at the level below it emitted, which holds the extremes all higher
+    levels can still see. The scan then makes the same comparisons and the
+    same additions on the same values as a scan of the whole path, so every
+    ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
+    for bit, at a cost near one scan of the path for the whole grid.
     """
     grid = np.asarray(levels, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -105,33 +125,11 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
         raise PathError("bad-level-grid", "levels must be finite and > 0")
     if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
         raise PathError("bad-level-grid", "levels must be strictly increasing")
-    tv_values = np.empty(grid.size)
-    for i, c in enumerate(grid):
-        tv_values[i] = truncated_variation(path, float(c)).tv
+    tv_values = _ladder_tv(path.values, grid)
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
 
 
 _REFINE_ROUNDS = 3
-
-
-def _line_min(fun, lo: float, hi: float, points: int):
-    # grid search with shrinking windows; fun is unimodal on [lo, hi]
-    lo0, hi0 = lo, hi
-    best_t = lo
-    best_v = np.inf
-    for _ in range(_REFINE_ROUNDS + 1):
-        grid = np.linspace(lo, hi, points)
-        for t in grid:
-            v = fun(float(t))
-            if v < best_v:
-                best_v = v
-                best_t = float(t)
-        span = (hi - lo) / (points - 1) if points > 1 else 0.0
-        if span == 0.0:
-            break
-        lo = max(lo0, best_t - span)
-        hi = min(hi0, best_t + span)
-    return best_t, best_v
 
 
 def l1_upper_bound(
@@ -142,10 +140,12 @@ def l1_upper_bound(
     Minimizes ``sum_i tv(f_i, c_i)`` over positive ``c_i`` summing to ``c``
     by pairwise transfers: each coordinate map is convex in its level, so
     the transfer objective is unimodal and a refining grid search finds its
-    minimum. Returns the achieved bound and the split; the bound is always
-    attainable, hence an upper bound for the underlying infimum, within
-    grid resolution of it. Levels are clamped away from zero because the
-    infimum may sit on the open boundary.
+    minimum. Each round of that search evaluates its whole grid of transfers
+    as two level batches, one per component of the pair, on the ladder that
+    ``sweep`` uses. Returns the achieved bound and the split; the bound is
+    always attainable, hence an upper bound for the underlying infimum,
+    within grid resolution of it. Levels are clamped away from zero because
+    the infimum may sit on the open boundary.
     """
     comps = list(components)
     if not comps:
@@ -174,24 +174,29 @@ def l1_upper_bound(
         sweeps += 1
         for i in range(n_comp):
             for j in range(i + 1, n_comp):
-                lo = -(split[j] - floor)
-                hi = split[i] - floor
+                lo0 = lo = -(split[j] - floor)
+                hi0 = hi = split[i] - floor
                 if hi <= lo:
                     continue
-
-                def pair_objective(t, _i=i, _j=j):
-                    return (
-                        truncated_variation(comps[_i], split[_i] - t).tv
-                        + truncated_variation(comps[_j], split[_j] + t).tv
-                    )
-
-                t_best, v_best = _line_min(pair_objective, lo, hi, points)
+                # grid search over the transfer t with shrinking windows
+                best_t, best_v, best_i, best_j = lo, np.inf, 0.0, 0.0
+                for _ in range(_REFINE_ROUNDS + 1):
+                    grid = np.linspace(lo, hi, points)
+                    tv_i = _ladder_tv(comps[i].values, split[i] - grid)
+                    tv_j = _ladder_tv(comps[j].values, split[j] + grid)
+                    for t, a, b in zip(grid.tolist(), tv_i.tolist(), tv_j.tolist()):
+                        if a + b < best_v:
+                            best_t, best_v, best_i, best_j = t, a + b, a, b
+                    span = (hi - lo) / (points - 1)
+                    if span == 0.0:
+                        break
+                    lo = max(lo0, best_t - span)
+                    hi = min(hi0, best_t + span)
                 current = vals[i] + vals[j]
-                if v_best < current - 1e-15 * max(1.0, current):
-                    split[i] -= t_best
-                    split[j] += t_best
-                    vals[i] = truncated_variation(comps[i], split[i]).tv
-                    vals[j] = truncated_variation(comps[j], split[j]).tv
+                if best_v < current - 1e-15 * max(1.0, current):
+                    split[i] -= best_t
+                    split[j] += best_t
+                    vals[i], vals[j] = best_i, best_j
                     improved = True
 
     return float(sum(vals)), split

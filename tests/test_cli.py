@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestTvCommand:
         assert float(rep["tv"]) == ref.tv
         assert rep["n"] == "5"
         assert float(rep["osc_norm"]) == 1.2
+
+    def test_bom_before_header(self, p1_file, p1, tmp_path, capsys):
+        bom_file = tmp_path / "bom.csv"
+        bom_file.write_bytes(b"\xef\xbb\xbf" + Path(p1_file).read_bytes())
+        assert main(["tv", str(bom_file), "-c", "0.6"]) == 0
+        rep = report_of(capsys)
+        ref = truncated_variation(p1, 0.6)
+        assert (float(rep["utv"]), float(rep["dtv"]), float(rep["tv"])) == (
+            ref.utv,
+            ref.dtv,
+            ref.tv,
+        )
 
     def test_oracle_flag(self, p1_file, capsys):
         assert main(["tv", p1_file, "-c", "0.6", "--oracle"]) == 0

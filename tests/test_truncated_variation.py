@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncvar import (
+    GeneratorSpec,
     PathError,
     TruncatedVariations,
     lazy_approximation,
@@ -12,11 +13,13 @@ from truncvar import (
     negate,
     oracle_truncated_variation,
     osc_norm,
+    generate,
     prefix_curves,
     sweep,
     total_variation,
     truncated_variation,
 )
+from truncvar._scan import DOWN, full_scan, tv_scan
 
 from _oracles import exhaustive_truncated, mixed_corpus
 
@@ -24,6 +27,11 @@ values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=60
 )
 level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+# integer values give ties, plateaus and levels equal to an increment
+ladder_values_st = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+    values_st,
+)
 small_values_st = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=9
 )
@@ -243,3 +251,102 @@ def test_sweep_shape_on_corpus():
         mid_excess = vals[1:-1] - (vals[:-2] + vals[2:]) / 2
         assert np.all(mid_excess <= 1e-9)
         assert vals[-1] == 0.0
+
+
+def assert_skeleton_exact(vals, c0, c):
+    """The level-c0 skeleton scans like the samples at c >= c0, bit for bit."""
+    x = np.array(vals, dtype=float)
+    _, _, _, skeleton = tv_scan(x, c0, True)
+    assert skeleton.dtype == np.float64
+    assert tv_scan(skeleton, c) == tv_scan(x, c)
+    # the skeleton is the scan's regime lows and highs, interleaved
+    scan = full_scan(x, c0)
+    lows_first = scan.direction != DOWN
+    assert skeleton[0 if lows_first else 1 :: 2].tolist() == scan.lows.tolist()
+    assert skeleton[1 if lows_first else 0 :: 2].tolist() == scan.highs.tolist()
+
+
+@given(ladder_values_st, st.data())
+@settings(deadline=None, max_examples=150)
+def test_skeleton_scan_matches_sample_scan(vals, data):
+    x = np.array(vals)
+    exact = {float(s) for s in np.abs(np.diff(x))} | {float(np.ptp(x))}
+    levels = level_st | st.sampled_from(sorted(exact - {0.0}) or [1.0])
+    a = data.draw(levels)
+    b = data.draw(levels | st.just(a))
+    assert_skeleton_exact(vals, min(a, b), max(a, b))
+
+
+@pytest.mark.parametrize(
+    "vals, c0, c",
+    [
+        ([2.5], 0.7, 0.7),  # n = 1
+        ([0.0, 0.0, 1.0, 1.0, 0.0, 0.0], 1.0, 1.0),  # plateaus, c = c0 = step
+        ([0.0, 2.0, 1.0, 3.0, 0.0], 1.0, 3.0),  # c = osc_norm
+        ([1.0, 1.0, 1.0], 0.5, 2.0),  # constant: nothing triggers
+    ],
+)
+def test_skeleton_scan_edge_cases(vals, c0, c):
+    assert_skeleton_exact(vals, c0, c)
+
+
+def test_sweep_is_bit_identical_to_per_level_scans_on_corpus():
+    for path, c in mixed_corpus(40, seed=31, max_len=150):
+        steps = np.abs(np.diff(path.values))[:10]
+        grid = np.unique(np.concatenate([steps, [c / 3, c, osc_norm(path)]]))
+        grid = grid[grid > 0]
+        ref = [truncated_variation(path, float(g)).tv for g in grid]
+        assert np.array_equal(sweep(path, grid).tv_values, ref)
+
+
+# (c, components as (kind, seed, scale)) on n = 300, with (bound, split) per
+# grid_points as float.hex, recorded from the one-scan-per-level search
+L1_PINNED = [
+    (
+        1.0,
+        [("random-walk", 11, 1.0), ("jump-mixture", 12, 1.0)],
+        {
+            2: ("0x1.040fc9612cc33p+7", ["0x1.ffffffffc6bc4p-1", "0x1.ca1e000000000p-36"]),
+            4: ("0x1.f5a7771919489p+6", ["0x1.cd6e9e0624384p-1", "0x1.948b0fcede3e0p-4"]),
+            64: ("0x1.f5662a6a51a40p+6", ["0x1.d33018e17fdb2p-1", "0x1.667f38f401274p-4"]),
+        },
+    ),
+    (
+        0.5,
+        [("jump-mixture", 21, 0.5), ("random-walk", 22, 1.0), ("random-walk", 23, 0.25)],
+        {
+            2: (
+                "0x1.6d1a017c28b64p+7",
+                ["0x1.eefc800000000p-37", "0x1.555555551775cp-2", "0x1.5555555555555p-3"],
+            ),
+            4: (
+                "0x1.68cb62929288ep+7",
+                ["0x1.f06a1f093525ep-7", "0x1.9356393170597p-2", "0x1.7499d75917f5bp-4"],
+            ),
+            64: (
+                "0x1.68ca15a073204p+7",
+                ["0x1.efceb3ff1a270p-7", "0x1.95f01dc3de1e8p-2", "0x1.6a45b270a4414p-4"],
+            ),
+        },
+    ),
+    (
+        2.0,
+        [("random-walk", 31, 2.0), ("jump-mixture", 32, 0.5)],
+        {
+            2: ("0x1.3766fa307cfd5p+7", ["0x1.ffffffffdc3dep+0", "0x1.1e10c00000000p-35"]),
+            4: ("0x1.324a64831b909p+7", ["0x1.f35ba781728d0p+0", "0x1.948b0fd1ae5f0p-5"]),
+            64: ("0x1.32476a99ab490p+7", ["0x1.f429a92877c93p+0", "0x1.7acadaf106da0p-5"]),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("c, specs, pins", L1_PINNED)
+def test_l1_upper_bound_pinned(c, specs, pins):
+    comps = [
+        generate(GeneratorSpec(kind, 300, seed=seed, scale=scale))
+        for kind, seed, scale in specs
+    ]
+    for points, (bound, split) in pins.items():
+        got = l1_upper_bound(comps, c, grid_points=points)
+        assert (got[0].hex(), [s.hex() for s in got[1]]) == (bound, split)
