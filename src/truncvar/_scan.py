@@ -1,4 +1,4 @@
-"""One-pass alternating-extreme scan kernels.
+"""One-pass alternating-extreme scan: one trigger kernel, numpy for the rest.
 
 The scan walks the samples once. It starts undecided, tracking both the
 running minimum and the running maximum from the left end. The first time
@@ -10,22 +10,45 @@ switching whenever the path moves at least ``c`` away from the tracked
 extreme. Threshold tests are exact floating-point ``>=`` comparisons, so
 inputs straddling the level by one ulp behave deterministically.
 
-The totals scan can also emit its level-c *skeleton*: the extreme anchored
-at each trigger, in time order, then the extreme tracked when the samples
-run out (the running minimum if nothing triggered). These are the regime
-lows and highs of the per-sample scan, interleaved. For every level
-``c' >= c`` the totals scan of the skeleton returns bit-identical
-``(up, down, direction)`` to the scan of the samples: every sample left
-out lies within ``c`` of the extremes around it, so at ``c'`` it never
-becomes an anchored extreme, and a trigger it fires in the scan of the
-samples fires at the next skeleton value instead, from the same anchor.
-The scan of the skeleton thus adds the same anchor differences in the
-same order. A skeleton
-has at most n values and is itself a path, so the skeleton of a skeleton
-at a still higher level is again exact for the samples.
+There is one state machine, ``_tv_scan_impl``. Besides the totals it can
+record the index of every trigger, one write per trigger. The triggers cut
+the samples into windows ``[0, t0), [t0, t1), ..., [tk, n)``: the undecided
+window, then peak and valley windows alternating. Every per-sample array is
+derived from the trigger indices with whole-array numpy, bit-identical to
+stepping the scan through the samples:
 
-Kernels are compiled with numba when it is importable; the plain-Python
-definitions below are both the fallback and the reference semantics.
+- The tracked extreme, the running max or min of the window so far, is one
+  running maximum over ``window + 1j * (+-value)``: numpy orders complex
+  numbers lexicographically, so the window number restarts it at each
+  trigger; negating a minimum window's values is exact; and a tie keeps the
+  earlier value, as the scan's strict ``<``/``>`` updates keep the first
+  occurrence (this decides the sign of a ``+-0.0`` extreme).
+- The skeleton (below), ``lows`` and ``highs`` are the windows' extremes:
+  ``full_scan`` reads them off the running extreme, ``tv_scan`` and
+  ``regime_scan`` reduce each window with ``minimum/maximum.reduceat`` and,
+  if the samples hold a ``-0.0``, give a zero extreme the sign of the
+  window's first zero.
+- ``approx``, ``up`` and ``down`` apply the scan's own floating-point
+  operations element by element, ``extreme -+ c/2`` and
+  ``closed + ((extreme - anchor) - c)``; ``closed``, the sum over the
+  closed regimes, comes from ``np.cumsum``, which adds left to right as the
+  scan does.
+
+The *skeleton* at level c is the extreme anchored at each trigger, in time
+order, then the extreme tracked when the samples run out (the running
+minimum if nothing triggered), i.e. the regime lows and highs interleaved.
+For every level ``c' >= c`` the totals scan of the skeleton returns
+bit-identical ``(up, down, direction)`` to the scan of the samples: every
+sample left out lies within ``c`` of the extremes around it, so at ``c'``
+it never becomes an anchored extreme, and a trigger it fires in the scan
+of the samples fires at the next skeleton value instead, from the same
+anchor. The scan of the skeleton thus adds the same anchor differences in
+the same order. A skeleton has at most n values and is itself a path, so
+the skeleton of a skeleton at a still higher level is again exact for the
+samples.
+
+The kernel is compiled with numba when it is importable; the plain-Python
+definition below is both the fallback and the reference semantics.
 Accumulation is left to right, which keeps reruns bit-reproducible.
 """
 
@@ -49,15 +72,16 @@ DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
 KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
-def _tv_scan_impl(values, c, skeleton):
+def _tv_scan_impl(values, c, triggers):
     """Totals-only scan: returns (up_total, down_total, direction_code, k).
 
     O(1) working memory; this is the fast path for truncated-variation
-    queries. A nonempty ``skeleton`` buffer (length at least n) receives the
-    level-c skeleton in ``skeleton[:k]``; with an empty buffer ``k`` is 0.
+    queries. A nonempty ``triggers`` buffer (length at least n) receives the
+    sample index of every trigger in ``triggers[:k]``; with an empty buffer
+    ``k`` is 0.
     """
     n = values.shape[0]
-    keep = skeleton.shape[0] > 0
+    keep = triggers.shape[0] > 0
     k = 0
     run_min = values[0]
     run_max = values[0]
@@ -79,7 +103,7 @@ def _tv_scan_impl(values, c, skeleton):
                 phase = 1
                 anchor_min = run_min
                 if keep:
-                    skeleton[k] = anchor_min
+                    triggers[k] = j
                     k += 1
                 run_max = v
             elif run_max - v >= c:
@@ -87,7 +111,7 @@ def _tv_scan_impl(values, c, skeleton):
                 phase = 2
                 anchor_max = run_max
                 if keep:
-                    skeleton[k] = anchor_max
+                    triggers[k] = j
                     k += 1
                 run_min = v
         elif phase == 1:
@@ -97,7 +121,7 @@ def _tv_scan_impl(values, c, skeleton):
                 up_total = up_total + ((run_max - anchor_min) - c)
                 anchor_max = run_max
                 if keep:
-                    skeleton[k] = anchor_max
+                    triggers[k] = j
                     k += 1
                 phase = 2
                 run_min = v
@@ -108,7 +132,7 @@ def _tv_scan_impl(values, c, skeleton):
                 down_total = down_total + ((anchor_max - run_min) - c)
                 anchor_min = run_min
                 if keep:
-                    skeleton[k] = anchor_min
+                    triggers[k] = j
                     k += 1
                 phase = 1
                 run_max = v
@@ -116,190 +140,14 @@ def _tv_scan_impl(values, c, skeleton):
         up_total = up_total + ((run_max - anchor_min) - c)
     elif phase == 2:
         down_total = down_total + ((anchor_max - run_min) - c)
-    if keep:
-        skeleton[k] = run_max if phase == 1 else run_min
-        k += 1
     return up_total, down_total, direction, k
-
-
-def _full_scan_impl(values, c, half):
-    """Per-sample scan.
-
-    Returns (approx, up, down, kind, extreme, up_times, down_times, lows,
-    highs, direction). ``approx`` is the flattest in-band path (tracked
-    extreme shifted by ``half`` toward the data), ``up``/``down`` are the
-    cumulative nondecreasing components, ``kind``/``extreme`` tag each
-    sample with its window state and running extreme.
-    """
-    n = values.shape[0]
-    approx = np.empty(n, np.float64)
-    up = np.empty(n, np.float64)
-    down = np.empty(n, np.float64)
-    kind = np.empty(n, np.int8)
-    extreme = np.empty(n, np.float64)
-    cap = n // 2 + 1
-    up_idx = np.empty(cap, np.int64)
-    dn_idx = np.empty(cap, np.int64)
-    lows = np.empty(cap + 1, np.float64)
-    highs = np.empty(cap + 1, np.float64)
-    n_up = 0
-    n_dn = 0
-    n_lo = 0
-    n_hi = 0
-    direction = 0
-    phase = 0
-    run_min = values[0]
-    run_max = values[0]
-    up_sum = 0.0  # closed peak-regime contributions
-    down_sum = 0.0  # closed valley-regime contributions
-    anchor_min = 0.0
-    anchor_max = 0.0
-
-    for j in range(n):
-        v = values[j]
-        if phase == 0:
-            if v < run_min:
-                run_min = v
-            if v > run_max:
-                run_max = v
-            if v - run_min >= c:
-                direction = 1
-                phase = 1
-                anchor_min = run_min
-                lows[n_lo] = run_min
-                n_lo += 1
-                up_idx[n_up] = j
-                n_up += 1
-                run_max = v
-                # settle the undecided prefix: constant band at the window min
-                m = values[0]
-                fc0 = anchor_min + half
-                for i in range(j):
-                    if values[i] < m:
-                        m = values[i]
-                    extreme[i] = m
-                    approx[i] = fc0
-                    up[i] = 0.0
-                    down[i] = 0.0
-                    kind[i] = 0
-                extreme[j] = v
-                approx[j] = v - half
-                up[j] = up_sum + ((v - anchor_min) - c)
-                down[j] = down_sum
-                kind[j] = 1
-            elif run_max - v >= c:
-                direction = 2
-                phase = 2
-                anchor_max = run_max
-                highs[n_hi] = run_max
-                n_hi += 1
-                dn_idx[n_dn] = j
-                n_dn += 1
-                run_min = v
-                m = values[0]
-                fc0 = anchor_max - half
-                for i in range(j):
-                    if values[i] > m:
-                        m = values[i]
-                    extreme[i] = m
-                    approx[i] = fc0
-                    up[i] = 0.0
-                    down[i] = 0.0
-                    kind[i] = 0
-                extreme[j] = v
-                approx[j] = v + half
-                down[j] = down_sum + ((anchor_max - v) - c)
-                up[j] = up_sum
-                kind[j] = 2
-        elif phase == 1:
-            if v > run_max:
-                run_max = v
-            if run_max - v >= c:
-                up_sum = up_sum + ((run_max - anchor_min) - c)
-                anchor_max = run_max
-                highs[n_hi] = run_max
-                n_hi += 1
-                dn_idx[n_dn] = j
-                n_dn += 1
-                phase = 2
-                run_min = v
-                kind[j] = 2
-                extreme[j] = v
-                approx[j] = v + half
-                up[j] = up_sum
-                down[j] = down_sum + ((anchor_max - v) - c)
-            else:
-                kind[j] = 1
-                extreme[j] = run_max
-                approx[j] = run_max - half
-                up[j] = up_sum + ((run_max - anchor_min) - c)
-                down[j] = down_sum
-        else:
-            if v < run_min:
-                run_min = v
-            if v - run_min >= c:
-                down_sum = down_sum + ((anchor_max - run_min) - c)
-                anchor_min = run_min
-                lows[n_lo] = run_min
-                n_lo += 1
-                up_idx[n_up] = j
-                n_up += 1
-                phase = 1
-                run_max = v
-                kind[j] = 1
-                extreme[j] = v
-                approx[j] = v - half
-                down[j] = down_sum
-                up[j] = up_sum + ((v - anchor_min) - c)
-            else:
-                kind[j] = 2
-                extreme[j] = run_min
-                approx[j] = run_min + half
-                down[j] = down_sum + ((anchor_max - run_min) - c)
-                up[j] = up_sum
-
-    if phase == 0:
-        # no trigger anywhere: one flat band through the global minimum
-        m = values[0]
-        fc0 = run_min + half
-        for i in range(n):
-            if values[i] < m:
-                m = values[i]
-            extreme[i] = m
-            approx[i] = fc0
-            up[i] = 0.0
-            down[i] = 0.0
-            kind[i] = 0
-        lows[n_lo] = run_min
-        n_lo += 1
-    elif phase == 1:
-        highs[n_hi] = run_max
-        n_hi += 1
-    else:
-        lows[n_lo] = run_min
-        n_lo += 1
-
-    return (
-        approx,
-        up,
-        down,
-        kind,
-        extreme,
-        up_idx[:n_up].copy(),
-        dn_idx[:n_dn].copy(),
-        lows[:n_lo].copy(),
-        highs[:n_hi].copy(),
-        direction,
-    )
 
 
 if numba is not None:
     _tv_scan = numba.njit(cache=True)(_tv_scan_impl)
-    _full_scan = numba.njit(cache=True)(_full_scan_impl)
     NUMBA_ENABLED = True
 else:  # pragma: no cover
     _tv_scan = _tv_scan_impl
-    _full_scan = _full_scan_impl
     NUMBA_ENABLED = False
 
 
@@ -316,7 +164,66 @@ class ScanResult(NamedTuple):
     direction: int
 
 
-_NO_SKELETON = np.empty(0, np.float64)
+class Regimes(NamedTuple):
+    up_times: np.ndarray
+    down_times: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+    direction: int
+
+
+_NO_TRIGGERS = np.empty(0, np.int64)
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def _window_scan(values, c):
+    """``(up, down, direction, starts)``: the totals, and the start of every
+    window, ``[0, t0, t1, ...]``, i.e. 0 then the trigger indices."""
+    starts = np.empty(values.shape[0], np.int64)
+    starts[0] = 0
+    up_total, down_total, direction, k = _tv_scan(values, c, starts[1:])
+    return float(up_total), float(down_total), int(direction), starts[: k + 1]
+
+
+def _window_extremes(values, starts, direction):
+    """The extreme each window's scan ends on: its first max (or min).
+
+    Windows alternate between tracking the minimum and the maximum; the
+    undecided window tracks the maximum when the first trigger is a down
+    trigger.
+    """
+    out = np.minimum.reduceat(values, starts)
+    first_max = 0 if direction == DOWN else 1
+    out[first_max::2] = np.maximum.reduceat(values, starts)[first_max::2]
+    if not out.all() and (values.view(np.int64) == _NEGATIVE_ZERO).any():
+        # a +-0.0 tie: the scan keeps the window's first zero
+        zero = np.flatnonzero(out == 0.0)
+        at = np.flatnonzero(values == 0.0)
+        out[zero] = values[at[np.searchsorted(at, starts[zero])]]
+    return out
+
+
+def window_samples(values, starts, tracks):
+    """Per sample: its window, the window's kind (SEEK, UP or DOWN) and the
+    running extreme of the window so far, as the scan tracks it.
+
+    ``starts`` are the window starts ``[0, t0, t1, ...]`` and ``tracks``
+    says per window whether it tracks the maximum. See the module docstring
+    for why the complex running maximum is exact.
+    """
+    win = np.zeros(values.shape[0], np.intp)
+    win[starts[1:]] = 1
+    np.cumsum(win, out=win)
+    flip = np.take(~tracks, win)
+    z = np.empty(values.shape[0], np.complex128)
+    z.real = win
+    z.imag = values
+    np.negative(z.imag, out=z.imag, where=flip)
+    np.maximum.accumulate(z, out=z)
+    np.negative(z.imag, out=z.imag, where=flip)
+    kind_of = np.where(tracks, UP, DOWN).astype(np.int8)
+    kind_of[0] = SEEK
+    return win, np.take(kind_of, win), z.imag.copy()
 
 
 def tv_scan(
@@ -327,13 +234,85 @@ def tv_scan(
     The skeleton is None unless ``keep_skeleton`` is set.
     """
     if not keep_skeleton:
-        up_total, down_total, direction, _ = _tv_scan(values, c, _NO_SKELETON)
+        up_total, down_total, direction, _ = _tv_scan(values, c, _NO_TRIGGERS)
         return float(up_total), float(down_total), int(direction), None
-    buf = np.empty(values.shape[0], np.float64)
-    up_total, down_total, direction, k = _tv_scan(values, c, buf)
-    return float(up_total), float(down_total), int(direction), buf[:k]
+    up_total, down_total, direction, starts = _window_scan(values, c)
+    return up_total, down_total, direction, _window_extremes(values, starts, direction)
+
+
+def _alternate(a, direction):
+    """Split values listed per regime in time order by the regime's kind:
+    (those of up triggers or lows, those of down triggers or highs)."""
+    first = 1 if direction == DOWN else 0
+    return a[first::2].copy(), a[1 - first :: 2].copy()
+
+
+def regime_scan(values: np.ndarray, c: float) -> Regimes:
+    """Trigger indices and window extremes, without the per-sample arrays."""
+    _, _, direction, starts = _window_scan(values, c)
+    skeleton = _window_extremes(values, starts, direction)
+    up_times, down_times = _alternate(starts[1:], direction)
+    return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
+
+
+def _closed_sums(later, earlier, closed, c):
+    """Per window, the left-to-right sum of ``(later - earlier) - c`` over the
+    regimes ``closed`` before it; entry i of the inputs is window i + 1."""
+    sums = np.zeros(closed.shape[0] + 2)
+    gain = sums[2:]
+    np.subtract(later, earlier, out=gain, where=closed)
+    np.subtract(gain, c, out=gain, where=closed)
+    # the +0.0 of every other window leaves each partial sum unchanged
+    return np.cumsum(sums, out=sums)
 
 
 def full_scan(values: np.ndarray, c: float) -> ScanResult:
-    out = _full_scan(values, c, c / 2.0)
-    return ScanResult(*out[:9], int(out[9]))
+    """Per-sample band approximation, rise/fall pair, window kind and extreme.
+
+    ``approx`` is the flattest in-band path (tracked extreme shifted by
+    ``c/2`` toward the data), ``up``/``down`` are the cumulative
+    nondecreasing components, ``kind``/``extreme`` tag each sample with its
+    window state and running extreme. Temporaries are freed as soon as they
+    are used, so the peak stays near the size of the outputs.
+    """
+    n = values.shape[0]
+    half = c / 2.0
+    _, _, direction, starts = _window_scan(values, c)
+    m = starts.shape[0] - 1  # the number of triggers
+    tracks = np.zeros(m + 1, bool)  # the windows that track the maximum
+    tracks[0 if direction == DOWN else 1 :: 2] = True
+    win, kind, extreme = window_samples(values, starts, tracks)
+    triggers = starts[1:]
+    # skel[1:] is the skeleton, and skel[w] the anchor of window w >= 1
+    skel = np.empty(m + 2)
+    skel[0] = 0.0
+    skel[1:-1] = extreme[triggers - 1]
+    skel[-1] = extreme[-1]
+    seek_end = triggers[0] if m else n
+    up_times, down_times = _alternate(triggers, direction)
+    del starts, triggers
+
+    peaks = tracks[1:m]
+    up = np.take(_closed_sums(skel[2 : m + 1], skel[1:m], peaks, c), win)
+    down = np.take(_closed_sums(skel[1:m], skel[2 : m + 1], ~peaks, c), win)
+    diff = np.take(skel[: m + 1], win)
+    del win
+    peak = kind == UP
+    valley = kind == DOWN
+    np.subtract(extreme, diff, out=diff, where=peak)
+    np.subtract(diff, extreme, out=diff, where=valley)
+    np.subtract(diff, c, out=diff)
+    np.add(up, diff, out=up, where=peak)
+    np.add(down, diff, out=down, where=valley)
+    del diff
+    lows, highs = _alternate(skel[1:], direction)
+    seek = skel[1] - half if direction == DOWN else skel[1] + half
+    del skel
+
+    approx = np.empty(n)
+    np.subtract(extreme, half, out=approx, where=peak)
+    np.add(extreme, half, out=approx, where=valley)
+    approx[:seek_end] = seek
+    return ScanResult(
+        approx, up, down, kind, extreme, up_times, down_times, lows, highs, direction
+    )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scan import NUMBA_ENABLED
 from .optimal_approx import lazy_approximation, step_skeleton, zero_start_approximation
 from .path_model import PathError, SampledPath, osc_norm, total_variation
 from .pathio import FileFormatError, format_number, read_path, write_columns, write_path
@@ -242,6 +243,7 @@ def _cmd_bench(args) -> RunReport:
         ("utv", result.utv),
         ("dtv", result.dtv),
         ("tv", result.tv),
+        ("backend", "numba" if NUMBA_ENABLED else "python"),
         ("elapsed_ms", elapsed * 1e3),
         ("samples_per_second", path.n / elapsed if elapsed > 0 else float("inf")),
         ("wall_ms", elapsed * 1e3),

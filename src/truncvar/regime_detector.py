@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP, full_scan
+from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP
+from ._scan import regime_scan, window_samples
 from .path_model import PathError, SampledPath, _frozen, level_value
 
 UP_FIRST = DIRECTION_LABELS[UP]
@@ -82,7 +83,7 @@ def first_down_time(path: SampledPath, c) -> int | None:
 def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
     """Run the alternating scan and return the full index skeleton."""
     c = level_value(c)
-    scan = full_scan(path.values, c)
+    scan = regime_scan(path.values, c)
     return RegimeDecomposition(
         first_direction=DIRECTION_LABELS[scan.direction],
         up_times=_frozen(scan.up_times),
@@ -94,44 +95,37 @@ def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
     )
 
 
+_WINDOW_LABELS = np.array([KIND_LABELS[SEEK], KIND_LABELS[UP], KIND_LABELS[DOWN]], object)
+_CHUNK = 1 << 15
+
+
 def running_extremes(
     path: SampledPath, decomposition: RegimeDecomposition
 ) -> list[tuple[str, float]]:
-    """Per-sample (kind, running extreme) pairs reconstructed from windows.
+    """Per-sample (kind, running extreme) pairs, read off the windows.
 
     ``kind`` is ``"seek"`` before the first trigger, then ``"up"`` inside
     peak windows and ``"down"`` inside valley windows. The extreme is the
     running maximum in peak windows (and in an undecided window of a
-    down-first path) and the running minimum otherwise.
+    down-first path) and the running minimum otherwise, restarted at each
+    trigger. On ties the earlier sample's value is kept, as the scan keeps
+    it, so the pairs equal ``full_scan``'s ``kind``/``extreme`` bit for bit,
+    the sign of a zero extreme included. One numpy pass over the samples
+    computes every window at once; see ``_scan``.
     """
     if decomposition.n != path.n:
         raise PathError(
             "stale-decomposition",
             f"decomposition built for n={decomposition.n}, path has n={path.n}",
         )
-    v = path.values
-    n = path.n
-    triggers = np.sort(
-        np.concatenate([decomposition.up_times, decomposition.down_times])
-    ).astype(int)
-    is_up_trigger = set(int(i) for i in decomposition.up_times)
-
+    ups = decomposition.up_times
+    starts = np.concatenate([[0], ups, decomposition.down_times]).astype(np.int64)
+    order = np.argsort(starts, kind="stable")  # 0 first: the undecided window
+    tracks = (order >= 1) & (order <= ups.size)  # peak windows track the max
+    tracks[0] = decomposition.first_direction == DOWN_FIRST
+    _, kinds, extreme = window_samples(path.values, starts[order], tracks)
     out: list[tuple[str, float]] = []
-    bounds = [0, *triggers.tolist(), n]
-    for w in range(len(bounds) - 1):
-        lo, hi = bounds[w], bounds[w + 1]
-        if lo == hi:
-            continue
-        if w == 0:
-            kind = KIND_LABELS[SEEK]
-            track_max = decomposition.first_direction == DOWN_FIRST
-        elif lo in is_up_trigger:
-            kind = KIND_LABELS[UP]
-            track_max = True
-        else:
-            kind = KIND_LABELS[DOWN]
-            track_max = False
-        window = v[lo:hi]
-        ext = np.maximum.accumulate(window) if track_max else np.minimum.accumulate(window)
-        out.extend((kind, float(x)) for x in ext)
+    for lo in range(0, path.n, _CHUNK):  # chunks keep the temporary lists small
+        hi = lo + _CHUNK
+        out += zip(_WINDOW_LABELS[kinds[lo:hi]].tolist(), extreme[lo:hi].tolist())
     return out

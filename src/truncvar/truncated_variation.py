@@ -91,20 +91,31 @@ def prefix_curves(path: SampledPath, c):
     return _frozen(scan.up), _frozen(scan.down), _frozen(scan.up + scan.down)
 
 
+_RETRY = 8  # levels to scan on a skeleton that stopped shrinking before trying again
+
+
 def _ladder_tv(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """``tv`` of the samples at each level, bit-identical to one scan per level.
 
     Levels are visited in ascending order, and each scan runs on the
-    skeleton emitted by the scan before it rather than on the samples (see
-    ``_scan``), so the work shrinks as the level rises.
+    skeleton emitted by a scan at a lower level rather than on the samples
+    (see ``_scan``), so the work shrinks as the level rises. Emitting a
+    skeleton costs a write per trigger and a pass over the windows, so once
+    a new skeleton comes out less than a tenth shorter than its input, the
+    next ``_RETRY - 1`` levels reuse it without emitting one.
     """
     order = np.argsort(levels, kind="stable")
     level_value(levels[order[0]])  # the smallest level vouches for the rest
     out = np.empty(levels.shape[0])
     skeleton = values
+    waited = 0  # levels scanned since a skeleton last shrank by a tenth
     for i in order:
-        up, down, _, skeleton = tv_scan(skeleton, float(levels[i]), True)
+        keep = waited % _RETRY == 0
+        up, down, _, shorter = tv_scan(skeleton, float(levels[i]), keep)
         out[i] = up + down
+        shrank = keep and 10 * shorter.shape[0] <= 9 * skeleton.shape[0]
+        waited = 0 if shrank else waited + 1
+        skeleton = shorter if keep else skeleton
     return out
 
 
@@ -162,7 +173,8 @@ def l1_upper_bound(
     oscs = [osc_norm(p) for p in comps]
     if max(oscs) == 0.0:
         return 0.0, [c / n_comp] * n_comp
-    floor = min(1e-12 * max(oscs), c / n_comp)
+    # at least one ulp of c, so that split - (split - floor) stays above 0
+    floor = min(max(1e-12 * max(oscs), float(np.spacing(c))), c / n_comp)
 
     split = [c / n_comp] * n_comp
     vals = [truncated_variation(comps[i], split[i]).tv for i in range(n_comp)]

@@ -39,6 +39,178 @@ def exhaustive_truncated(values, c: float, mode: int) -> float:
     return best
 
 
+def full_scan_loop(values, c):
+    """Per-sample reference scan: the trigger state machine, stepped sample
+    by sample, writing every output array as it goes.
+
+    Returns the fields of ``truncvar._scan.ScanResult`` in order: (approx,
+    up, down, kind, extreme, up_times, down_times, lows, highs, direction).
+    The package derives the same arrays from the trigger indices with
+    numpy; the tests compare the two bit for bit.
+    """
+    half = c / 2.0
+    n = values.shape[0]
+    approx = np.empty(n, np.float64)
+    up = np.empty(n, np.float64)
+    down = np.empty(n, np.float64)
+    kind = np.empty(n, np.int8)
+    extreme = np.empty(n, np.float64)
+    cap = n // 2 + 1
+    up_idx = np.empty(cap, np.int64)
+    dn_idx = np.empty(cap, np.int64)
+    lows = np.empty(cap + 1, np.float64)
+    highs = np.empty(cap + 1, np.float64)
+    n_up = 0
+    n_dn = 0
+    n_lo = 0
+    n_hi = 0
+    direction = 0
+    phase = 0
+    run_min = values[0]
+    run_max = values[0]
+    up_sum = 0.0  # closed peak-regime contributions
+    down_sum = 0.0  # closed valley-regime contributions
+    anchor_min = 0.0
+    anchor_max = 0.0
+
+    for j in range(n):
+        v = values[j]
+        if phase == 0:
+            if v < run_min:
+                run_min = v
+            if v > run_max:
+                run_max = v
+            if v - run_min >= c:
+                direction = 1
+                phase = 1
+                anchor_min = run_min
+                lows[n_lo] = run_min
+                n_lo += 1
+                up_idx[n_up] = j
+                n_up += 1
+                run_max = v
+                # settle the undecided prefix: constant band at the window min
+                m = values[0]
+                fc0 = anchor_min + half
+                for i in range(j):
+                    if values[i] < m:
+                        m = values[i]
+                    extreme[i] = m
+                    approx[i] = fc0
+                    up[i] = 0.0
+                    down[i] = 0.0
+                    kind[i] = 0
+                extreme[j] = v
+                approx[j] = v - half
+                up[j] = up_sum + ((v - anchor_min) - c)
+                down[j] = down_sum
+                kind[j] = 1
+            elif run_max - v >= c:
+                direction = 2
+                phase = 2
+                anchor_max = run_max
+                highs[n_hi] = run_max
+                n_hi += 1
+                dn_idx[n_dn] = j
+                n_dn += 1
+                run_min = v
+                m = values[0]
+                fc0 = anchor_max - half
+                for i in range(j):
+                    if values[i] > m:
+                        m = values[i]
+                    extreme[i] = m
+                    approx[i] = fc0
+                    up[i] = 0.0
+                    down[i] = 0.0
+                    kind[i] = 0
+                extreme[j] = v
+                approx[j] = v + half
+                down[j] = down_sum + ((anchor_max - v) - c)
+                up[j] = up_sum
+                kind[j] = 2
+        elif phase == 1:
+            if v > run_max:
+                run_max = v
+            if run_max - v >= c:
+                up_sum = up_sum + ((run_max - anchor_min) - c)
+                anchor_max = run_max
+                highs[n_hi] = run_max
+                n_hi += 1
+                dn_idx[n_dn] = j
+                n_dn += 1
+                phase = 2
+                run_min = v
+                kind[j] = 2
+                extreme[j] = v
+                approx[j] = v + half
+                up[j] = up_sum
+                down[j] = down_sum + ((anchor_max - v) - c)
+            else:
+                kind[j] = 1
+                extreme[j] = run_max
+                approx[j] = run_max - half
+                up[j] = up_sum + ((run_max - anchor_min) - c)
+                down[j] = down_sum
+        else:
+            if v < run_min:
+                run_min = v
+            if v - run_min >= c:
+                down_sum = down_sum + ((anchor_max - run_min) - c)
+                anchor_min = run_min
+                lows[n_lo] = run_min
+                n_lo += 1
+                up_idx[n_up] = j
+                n_up += 1
+                phase = 1
+                run_max = v
+                kind[j] = 1
+                extreme[j] = v
+                approx[j] = v - half
+                down[j] = down_sum
+                up[j] = up_sum + ((v - anchor_min) - c)
+            else:
+                kind[j] = 2
+                extreme[j] = run_min
+                approx[j] = run_min + half
+                down[j] = down_sum + ((anchor_max - run_min) - c)
+                up[j] = up_sum
+
+    if phase == 0:
+        # no trigger anywhere: one flat band through the global minimum
+        m = values[0]
+        fc0 = run_min + half
+        for i in range(n):
+            if values[i] < m:
+                m = values[i]
+            extreme[i] = m
+            approx[i] = fc0
+            up[i] = 0.0
+            down[i] = 0.0
+            kind[i] = 0
+        lows[n_lo] = run_min
+        n_lo += 1
+    elif phase == 1:
+        highs[n_hi] = run_max
+        n_hi += 1
+    else:
+        lows[n_lo] = run_min
+        n_lo += 1
+
+    return (
+        approx,
+        up,
+        down,
+        kind,
+        extreme,
+        up_idx[:n_up].copy(),
+        dn_idx[:n_dn].copy(),
+        lows[:n_lo].copy(),
+        highs[:n_hi].copy(),
+        direction,
+    )
+
+
 def prefix_total_variation(values: np.ndarray) -> np.ndarray:
     """Running sum of absolute increments, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.abs(np.diff(values)))])

@@ -15,6 +15,7 @@ from truncvar import (
     truncated_variation,
     zero_start_approximation,
 )
+from truncvar._scan import NUMBA_ENABLED
 from truncvar.cli import main
 from truncvar.pathio import FileFormatError, read_path, write_path
 
@@ -211,6 +212,7 @@ class TestBenchCommand:
         rep = report_of(capsys)
         assert float(rep["samples_per_second"]) > 0
         assert rep["n"] == "20000"
+        assert rep["backend"] == ("numba" if NUMBA_ENABLED else "python")
 
 
 class TestExitCodes:

@@ -350,3 +350,26 @@ def test_l1_upper_bound_pinned(c, specs, pins):
     for points, (bound, split) in pins.items():
         got = l1_upper_bound(comps, c, grid_points=points)
         assert (got[0].hex(), [s.hex() for s in got[1]]) == (bound, split)
+
+
+def test_l1_upper_bound_budget_far_above_oscillation():
+    # the level floor must stay above half an ulp of the split, or a level
+    # split - (split - floor) rounds to 0 and is rejected
+    comps = [make_path([0, 1, 2], [0, 1, 0]), make_path([0, 1, 2], [0, 2, 1])]
+    bound, split = l1_upper_bound(comps, 1e5)
+    assert bound == 0.0
+    assert all(s > 0 for s in split)
+    assert sum(split) == pytest.approx(1e5, rel=1e-15)
+
+
+def test_sweep_reuses_a_skeleton_that_stopped_shrinking():
+    # dense runs of close levels leave the skeleton almost unchanged, so the
+    # ladder scans several levels on one skeleton before emitting the next
+    for path, c in mixed_corpus(20, seed=77, min_len=50, max_len=400):
+        osc = osc_norm(path)
+        if osc == 0:
+            continue
+        dense = c / 4 + np.linspace(0.0, c / 1e3, 40)
+        grid = np.unique(np.concatenate([dense, np.linspace(c / 2, osc, 12)]))
+        ref = [truncated_variation(path, float(g)).tv for g in grid]
+        assert np.array_equal(sweep(path, grid).tv_values, ref)
