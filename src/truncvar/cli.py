@@ -2,7 +2,10 @@
 
 Every subcommand prints a flat ``key=value`` report: the command name, a
 digest of the input path, the level(s) used, the operation's results, and
-the wall time in milliseconds. Floats are rendered with shortest
+the wall time of the computation in milliseconds. Commands that read or
+write path files then add ``read_ms`` (when a file was read), ``write_ms``
+(when files were written) and ``peak_rss_kb``, the process's peak resident
+set size from ``getrusage`` (KiB on Linux). Floats are rendered with shortest
 round-trip precision. Exit codes: 0 success, 2 bad usage, 3 malformed
 input data, 4 numeric-domain violation (e.g. a non-positive level),
 5 I/O failure. All behavior is controlled by flags; there is no
@@ -12,6 +15,7 @@ configuration file and no environment lookup.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -65,6 +69,20 @@ def _digest(path: SampledPath) -> list[tuple[str, object]]:
     ]
 
 
+def _timed(fn, *args):
+    """``(fn(*args), elapsed ms)``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - t0) * 1e3
+
+
+def _file_stages(read_ms=None, write_ms=None) -> list[tuple[str, object]]:
+    entries = [] if read_ms is None else [("read_ms", read_ms)]
+    entries += [] if write_ms is None else [("write_ms", write_ms)]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return entries + [("peak_rss_kb", int(peak))]
+
+
 def _parse_levels(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -82,7 +100,7 @@ def _parse_levels(spec: str) -> np.ndarray:
 
 
 def _cmd_tv(args) -> RunReport:
-    path = read_path(args.input)
+    path, read_ms = _timed(read_path, args.input)
     t0 = time.perf_counter()
     result = truncated_variation(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -103,23 +121,26 @@ def _cmd_tv(args) -> RunReport:
             ("oracle_tv", ref.tv),
             ("oracle_discrepancy", disc),
         ]
+    write_ms = None
     if args.prefix is not None:
         up, down, tv = prefix_curves(path, args.level)
-        write_columns(args.prefix, ("time", "utv", "dtv", "tv"), (path.times, up, down, tv))
+        columns = (path.times, up, down, tv)
+        _, write_ms = _timed(write_columns, args.prefix, ("time", "utv", "dtv", "tv"), columns)
         entries.append(("prefix_file", args.prefix))
     entries.append(("wall_ms", wall_ms))
+    entries += _file_stages(read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_approx(args) -> RunReport:
-    path = read_path(args.input)
+    path, read_ms = _timed(read_path, args.input)
     t0 = time.perf_counter()
     if args.zero_start:
         result = zero_start_approximation(path, args.level)
     else:
         result = lazy_approximation(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    write_path(result.approximation, args.out)
+    _, write_ms = _timed(write_path, result.approximation, args.out)
     entries = [("command", "approx"), ("input", args.input)]
     entries += _digest(path)
     entries += [
@@ -130,18 +151,19 @@ def _cmd_approx(args) -> RunReport:
         ("out", args.out),
         ("wall_ms", wall_ms),
     ]
+    entries += _file_stages(read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_decompose(args) -> RunReport:
-    path = read_path(args.input)
+    path, read_ms = _timed(read_path, args.input)
     t0 = time.perf_counter()
     result = lazy_approximation(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
     up = SampledPath(path.times, result.jordan.up_component)
     down = SampledPath(path.times, result.jordan.down_component)
-    write_path(up, args.out_up)
-    write_path(down, args.out_down)
+    _, up_ms = _timed(write_path, up, args.out_up)
+    _, down_ms = _timed(write_path, down, args.out_down)
     entries = [("command", "decompose"), ("input", args.input)]
     entries += _digest(path)
     entries += [
@@ -152,16 +174,17 @@ def _cmd_decompose(args) -> RunReport:
         ("out_down", args.out_down),
         ("wall_ms", wall_ms),
     ]
+    entries += _file_stages(read_ms, up_ms + down_ms)
     return RunReport(entries)
 
 
 def _cmd_sweep(args) -> RunReport:
-    path = read_path(args.input)
+    path, read_ms = _timed(read_path, args.input)
     levels = _parse_levels(args.levels)
     t0 = time.perf_counter()
     curve = sweep(path, levels)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    write_columns(args.out, ("c", "tv"), (curve.levels, curve.tv_values))
+    _, write_ms = _timed(write_columns, args.out, ("c", "tv"), (curve.levels, curve.tv_values))
     entries = [("command", "sweep"), ("input", args.input)]
     entries += _digest(path)
     entries += [
@@ -170,15 +193,16 @@ def _cmd_sweep(args) -> RunReport:
         ("out", args.out),
         ("wall_ms", wall_ms),
     ]
+    entries += _file_stages(read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_skeleton(args) -> RunReport:
-    path = read_path(args.input)
+    path, read_ms = _timed(read_path, args.input)
     t0 = time.perf_counter()
     skeleton = step_skeleton(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    write_path(skeleton, args.out)
+    _, write_ms = _timed(write_path, skeleton, args.out)
     entries = [("command", "skeleton"), ("input", args.input)]
     entries += _digest(path)
     entries += [
@@ -187,6 +211,7 @@ def _cmd_skeleton(args) -> RunReport:
         ("out", args.out),
         ("wall_ms", wall_ms),
     ]
+    entries += _file_stages(read_ms, write_ms)
     return RunReport(entries)
 
 
@@ -214,7 +239,7 @@ def _cmd_gen(args) -> RunReport:
     t0 = time.perf_counter()
     path = generate(spec)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    write_path(path, args.out)
+    _, write_ms = _timed(write_path, path, args.out)
     entries = [("command", "gen")]
     entries += _digest(path)
     entries += [
@@ -225,6 +250,7 @@ def _cmd_gen(args) -> RunReport:
     ]
     entries += [(k, float(v)) for k, v in sorted(spec.extra.items())]
     entries += [("out", args.out), ("wall_ms", wall_ms)]
+    entries += _file_stages(write_ms=write_ms)
     return RunReport(entries)
 
 

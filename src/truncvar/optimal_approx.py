@@ -103,21 +103,18 @@ def step_skeleton(path: SampledPath, c) -> SampledPath:
     """
     c = level_value(c)
     half = c / 2.0
-    t = path.times
-    v = path.values
+    vals = path.values.tolist()
     keep = [0]
-    held = v[0]
-    for j in range(1, path.n):
-        if abs(v[j] - held) > half:
+    held = vals[0]
+    for j, v in enumerate(vals):
+        if abs(v - held) > half:
             keep.append(j)
-            held = v[j]
-    times = [float(t[i]) for i in keep]
-    values = [float(v[i]) for i in keep]
-    if times[-1] != float(t[-1]):
-        times.append(float(t[-1]))
-        values.append(values[-1])
-    skeleton = SampledPath(
-        _frozen(np.array(times, dtype=np.float64)),
-        _frozen(np.array(values, dtype=np.float64)),
-    )
-    return skeleton
+            held = v
+    del vals  # ~32 bytes a sample; free it before the index array is built
+    keep = np.array(keep)
+    times = path.times[keep]
+    values = path.values[keep]
+    if times[-1] != path.times[-1]:
+        times = np.append(times, path.times[-1])
+        values = np.append(values, values[-1])
+    return SampledPath(_frozen(times), _frozen(values))

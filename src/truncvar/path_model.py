@@ -18,8 +18,8 @@ class PathError(ValueError):
     """Invalid input to a path operation; ``code`` names the precondition.
 
     Codes used across the package: ``empty-path``, ``length-mismatch``,
-    ``non-finite``, ``times-not-increasing``, ``outside-domain``,
-    ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
+    ``non-finite``, ``times-not-increasing``, ``value-span-overflow``,
+    ``outside-domain``, ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
     ``stale-decomposition``, ``unknown-generator``, ``bad-generator-spec``.
     """
 
@@ -83,7 +83,9 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
     """Validate raw samples and build a :class:`SampledPath`.
 
     Raises :class:`PathError` with code ``empty-path`` (no samples),
-    ``length-mismatch``, ``non-finite``, or ``times-not-increasing``.
+    ``length-mismatch``, ``non-finite``, ``times-not-increasing``, or
+    ``value-span-overflow`` (finite values whose ``max - min`` overflows:
+    every increment and truncated variation would read ``inf``).
     """
     t = np.array(times, dtype=np.float64)
     v = np.array(values, dtype=np.float64)
@@ -101,6 +103,8 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
         raise PathError("non-finite", "times and values must all be finite")
     if t.size > 1 and not np.all(t[1:] > t[:-1]):
         raise PathError("times-not-increasing", "times must be strictly increasing")
+    if not np.isfinite(float(np.max(v)) - float(np.min(v))):
+        raise PathError("value-span-overflow", "max(values) - min(values) overflows float64")
     return SampledPath(_frozen(t), _frozen(v))
 
 

@@ -10,6 +10,7 @@ dynamic program and exists purely to cross-check the scan.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,43 +92,95 @@ def prefix_curves(path: SampledPath, c):
     return _frozen(scan.up), _frozen(scan.down), _frozen(scan.up + scan.down)
 
 
-_RETRY = 8  # levels to scan on a skeleton that stopped shrinking before trying again
+_FOLD_BLOCK = 1 << 16  # gap-by-level terms folded at once
+_CACHE_VALUES = 1 << 20  # skeleton values a ladder keeps besides the samples
 
 
-def _ladder_tv(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``tv`` of the samples at each level, bit-identical to one scan per level.
+def _fold(gaps: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per level c, the left-to-right sum of ``gap - c`` over ``gaps``.
 
-    Levels are visited in ascending order, and each scan runs on the
-    skeleton emitted by a scan at a lower level rather than on the samples
-    (see ``_scan``), so the work shrinks as the level rises. Emitting a
-    skeleton costs a write per trigger and a pass over the windows, so once
-    a new skeleton comes out less than a tenth shorter than its input, the
-    next ``_RETRY - 1`` levels reuse it without emitting one.
+    ``np.add.accumulate`` adds strictly in order from the first term on, as
+    the scan adds each term to a total that starts at 0.0.
     """
-    order = np.argsort(levels, kind="stable")
-    level_value(levels[order[0]])  # the smallest level vouches for the rest
-    out = np.empty(levels.shape[0])
-    skeleton = values
-    waited = 0  # levels scanned since a skeleton last shrank by a tenth
-    for i in order:
-        keep = waited % _RETRY == 0
-        up, down, _, shorter = tv_scan(skeleton, float(levels[i]), keep)
-        out[i] = up + down
-        shrank = keep and 10 * shorter.shape[0] <= 9 * skeleton.shape[0]
-        waited = 0 if shrank else waited + 1
-        skeleton = shorter if keep else skeleton
+    out = np.zeros(levels.shape[0])
+    if gaps.size:
+        step = max(1, _FOLD_BLOCK // gaps.size)
+        for s in range(0, levels.shape[0], step):
+            terms = gaps[:, None] - levels[None, s : s + step]
+            out[s : s + step] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return out
+
+
+class _Ladder:
+    """``tv`` of one sample sequence at any batch of levels, bit-identical to
+    one scan per level, from skeletons cached across batches.
+
+    Each rung is a level a and a skeleton exact at every level ``>= a`` (see
+    ``_scan``); the rung at level 0 holds the samples. A skeleton's values
+    alternate strictly and every gap between neighbours is at least a, so at
+    a level c no larger than its smallest gap the scan would trigger at
+    every value: ``tv(c)`` is the fold of ``gap - c`` over the rises plus
+    the fold over the falls, and no scan runs. A level above the smallest
+    gap is scanned on the highest rung below it, and the skeleton that scan
+    emits becomes a new rung. Once the skeletons hold more than
+    ``_CACHE_VALUES`` values, the lowest rungs are dropped, never the
+    samples or the newest rung.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self._levels = [0.0]
+        self._rungs = [(values, -np.inf)]  # (skeleton, smallest gap)
+        self._cached = 0
+
+    def tv(self, levels: np.ndarray) -> np.ndarray:
+        order = np.argsort(levels, kind="stable")
+        pending = levels[order]
+        level_value(pending[0])  # the smallest level vouches for the rest
+        done = np.empty(pending.shape[0])
+        i = 0
+        while i < pending.shape[0]:
+            c = float(pending[i])
+            at = bisect.bisect_right(self._levels, c) - 1
+            skeleton, min_gap = self._rungs[at]
+            if c <= min_gap:
+                j = int(np.searchsorted(pending, min_gap, side="right"))
+                gaps = np.abs(np.diff(skeleton))
+                first_rise = int(skeleton.shape[0] > 1 and skeleton[1] < skeleton[0])
+                rises, falls = gaps[first_rise::2], gaps[1 - first_rise :: 2]
+                batch = pending[i:j]
+                done[i:j] = _fold(rises, batch) + _fold(falls, batch)
+                i = j
+            else:
+                up, down, _, shorter = tv_scan(skeleton, c, True)
+                done[i] = up + down
+                self._add(at + 1, c, shorter)
+                i += 1
+        out = np.empty_like(done)
+        out[order] = done
+        return out
+
+    def _add(self, at: int, c: float, skeleton: np.ndarray) -> None:
+        gaps = np.abs(np.diff(skeleton))
+        self._levels.insert(at, c)
+        self._rungs.insert(at, (skeleton, float(gaps.min()) if gaps.size else np.inf))
+        self._cached += skeleton.shape[0]
+        while self._cached > _CACHE_VALUES and len(self._rungs) > 2:
+            drop = 2 if self._rungs[1][0] is skeleton else 1
+            self._cached -= self._rungs[drop][0].shape[0]
+            del self._levels[drop], self._rungs[drop]
 
 
 def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     """Evaluate the total truncated variation on an increasing level grid.
 
-    The levels form a ladder: each level is scanned on the skeleton that the
-    scan at the level below it emitted, which holds the extremes all higher
-    levels can still see. The scan then makes the same comparisons and the
-    same additions on the same values as a scan of the whole path, so every
-    ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
-    for bit, at a cost near one scan of the path for the whole grid.
+    The levels form a ladder (``_Ladder``): a level is scanned on the
+    skeleton that a scan at a lower level emitted, which holds the extremes
+    all higher levels can still see, or, when it is no larger than every gap
+    of that skeleton, priced in closed form from the gaps. Either way the
+    same comparisons and the same additions run on the same values as in a
+    scan of the whole path, so every ``tv_values[i]`` equals
+    ``truncated_variation(path, levels[i]).tv`` bit for bit, at a cost near
+    one scan of the path for the whole grid.
     """
     grid = np.asarray(levels, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -136,7 +189,7 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
         raise PathError("bad-level-grid", "levels must be finite and > 0")
     if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
         raise PathError("bad-level-grid", "levels must be strictly increasing")
-    tv_values = _ladder_tv(path.values, grid)
+    tv_values = _Ladder(path.values).tv(grid)
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
 
 
@@ -152,11 +205,14 @@ def l1_upper_bound(
     by pairwise transfers: each coordinate map is convex in its level, so
     the transfer objective is unimodal and a refining grid search finds its
     minimum. Each round of that search evaluates its whole grid of transfers
-    as two level batches, one per component of the pair, on the ladder that
-    ``sweep`` uses. Returns the achieved bound and the split; the bound is
-    always attainable, hence an upper bound for the underlying infimum,
-    within grid resolution of it. Levels are clamped away from zero because
-    the infimum may sit on the open boundary.
+    as two level batches, one per component of the pair. Every component
+    keeps one ladder (see ``sweep``) for the whole call, so a batch starts
+    from the skeletons that earlier rounds and sweeps emitted, and the
+    narrow windows of the later rounds mostly fall below a skeleton's
+    smallest gap, where no scan runs. Returns the achieved bound and the
+    split; the bound is always attainable, hence an upper bound for the
+    underlying infimum, within grid resolution of it. Levels are clamped
+    away from zero because the infimum may sit on the open boundary.
     """
     comps = list(components)
     if not comps:
@@ -177,6 +233,7 @@ def l1_upper_bound(
     floor = min(max(1e-12 * max(oscs), float(np.spacing(c))), c / n_comp)
 
     split = [c / n_comp] * n_comp
+    ladders = [_Ladder(p.values) for p in comps]
     vals = [truncated_variation(comps[i], split[i]).tv for i in range(n_comp)]
 
     improved = True
@@ -194,8 +251,8 @@ def l1_upper_bound(
                 best_t, best_v, best_i, best_j = lo, np.inf, 0.0, 0.0
                 for _ in range(_REFINE_ROUNDS + 1):
                     grid = np.linspace(lo, hi, points)
-                    tv_i = _ladder_tv(comps[i].values, split[i] - grid)
-                    tv_j = _ladder_tv(comps[j].values, split[j] + grid)
+                    tv_i = ladders[i].tv(split[i] - grid)
+                    tv_j = ladders[j].tv(split[j] + grid)
                     for t, a, b in zip(grid.tolist(), tv_i.tolist(), tv_j.tolist()):
                         if a + b < best_v:
                             best_t, best_v, best_i, best_j = t, a + b, a, b

@@ -211,6 +211,28 @@ def full_scan_loop(values, c):
     )
 
 
+def step_skeleton_loop(times, values, c):
+    """Reference greedy resampling: ``(times, values)`` of the breakpoints.
+
+    The sample-by-sample loop ``optimal_approx.step_skeleton`` replaced; the
+    tests compare the two bit for bit.
+    """
+    half = c / 2.0
+    t, v = times, values
+    keep = [0]
+    held = v[0]
+    for j in range(1, len(v)):
+        if abs(v[j] - held) > half:
+            keep.append(j)
+            held = v[j]
+    out_t = [float(t[i]) for i in keep]
+    out_v = [float(v[i]) for i in keep]
+    if out_t[-1] != float(t[-1]):
+        out_t.append(float(t[-1]))
+        out_v.append(out_v[-1])
+    return np.array(out_t, dtype=np.float64), np.array(out_v, dtype=np.float64)
+
+
 def prefix_total_variation(values: np.ndarray) -> np.ndarray:
     """Running sum of absolute increments, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.abs(np.diff(values)))])

@@ -262,3 +262,35 @@ def test_module_entry_point_subprocess(p1_file):
         text=True,
     )
     assert missing.returncode == 5
+
+
+def test_value_span_overflow_exit_4(tmp_path, capsys):
+    src = tmp_path / "wide.csv"
+    src.write_text("time,value\n0,-1e308\n1,1e308\n2,-1e308\n")
+    assert main(["tv", str(src), "-c", "1"]) == 4
+    assert "value-span-overflow" in capsys.readouterr().err
+
+
+def test_file_commands_report_stage_times_and_peak_rss(p1_file, tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    runs = [
+        (["tv", p1_file, "-c", "0.6"], ["read_ms"]),
+        (["tv", p1_file, "-c", "0.6", "--prefix", out], ["read_ms", "write_ms"]),
+        (["approx", p1_file, "-c", "0.6", "--out", out], ["read_ms", "write_ms"]),
+        (
+            ["decompose", p1_file, "-c", "0.6", "--out-up", out, "--out-down", out + "2"],
+            ["read_ms", "write_ms"],
+        ),
+        (["sweep", p1_file, "--levels", "0.5:1.5:0.5", "--out", out], ["read_ms", "write_ms"]),
+        (["skeleton", p1_file, "-c", "0.6", "--out", out], ["read_ms", "write_ms"]),
+        (["gen", "--kind", "ramp", "--length", "5", "--out", out], ["write_ms"]),
+    ]
+    for argv, stages in runs:
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        # the new keys follow every existing one, wall_ms last among those
+        assert keys[-len(stages) - 2 :] == ["wall_ms", *stages, "peak_rss_kb"], argv
+        rep = dict(line.split("=", 1) for line in lines)
+        assert all(float(rep[k]) >= 0.0 for k in stages)
+        assert int(rep["peak_rss_kb"]) > 0

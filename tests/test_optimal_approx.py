@@ -18,7 +18,7 @@ from truncvar import (
     zero_start_approximation,
 )
 
-from _oracles import mixed_corpus, monotone_parts, prefix_total_variation
+from _oracles import mixed_corpus, monotone_parts, prefix_total_variation, step_skeleton_loop
 
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=50
@@ -263,3 +263,28 @@ def test_achieved_tv_equals_truncated_variation_on_corpus(p1):
             truncated_variation(path, c).tv, abs=1e-12
         )
         assert total_variation(r.approximation) == r.achieved_tv
+
+
+def assert_step_skeleton_exact(path, c):
+    s = step_skeleton(path, c)
+    ref_t, ref_v = step_skeleton_loop(path.times, path.values, c)
+    for got, ref in ((s.times, ref_t), (s.values, ref_v)):
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_step_skeleton_matches_loop_on_corpus():
+    for path, c in mixed_corpus(60, seed=5150, max_len=200):
+        assert_step_skeleton_exact(path, c)
+        for step in np.abs(np.diff(path.values))[:3]:  # c/2 at an increment
+            if step > 0:
+                assert_step_skeleton_exact(path, 2.0 * float(step))
+
+
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), min_size=1, max_size=40),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+@settings(deadline=None, max_examples=200)
+def test_step_skeleton_matches_loop_on_signed_zeros(vals, c):
+    assert_step_skeleton_exact(path_from(vals), c)

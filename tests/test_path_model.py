@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,3 +159,15 @@ def test_redundant_breakpoints_keep_total_variation(vals):
     zero = make_path(fine_times, np.zeros(fine_times.size)) if p.n > 1 else p
     refined = combine(p, zero, (1.0, 0.0)) if p.n > 1 else p
     assert total_variation(refined) == pytest.approx(total_variation(p), abs=1e-12)
+
+
+def test_value_span_overflow_is_rejected():
+    # every value is finite, but max - min is not: increments would read inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError) as err:
+            make_path([0, 1, 2], [-1e308, 1e308, -1e308])
+        assert err.value.code == "value-span-overflow"
+        # the widest finite span still builds a path
+        wide = make_path([0, 1], [-8e307, 8e307])
+    assert osc_norm(wide) == 1.6e308

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,12 @@ from truncvar import (
     truncated_variation,
 )
 from truncvar._scan import DOWN, full_scan, tv_scan
+from truncvar.truncated_variation import _Ladder
 
 from _oracles import exhaustive_truncated, mixed_corpus
+
+# the module, which the package's same-named function hides as an attribute
+tv_module = importlib.import_module("truncvar.truncated_variation")
 
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=60
@@ -373,3 +379,74 @@ def test_sweep_reuses_a_skeleton_that_stopped_shrinking():
         grid = np.unique(np.concatenate([dense, np.linspace(c / 2, osc, 12)]))
         ref = [truncated_variation(path, float(g)).tv for g in grid]
         assert np.array_equal(sweep(path, grid).tv_values, ref)
+
+
+def assert_ladder_exact(ladder, x, batch):
+    """One batch of the ladder equals one scan of the samples per level."""
+    got = ladder.tv(np.array(batch, dtype=float))
+    ref = []
+    for c in batch:
+        up, down, _, _ = tv_scan(x, float(c))
+        ref.append(up + down)
+    assert got.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+
+
+def rung_levels(ladder):
+    """Each cached level, and each skeleton's smallest gap and +-1 ulp."""
+    out = []
+    for a, (_, gap) in zip(ladder._levels[1:], ladder._rungs[1:]):
+        out.append(a)
+        if np.isfinite(gap):
+            out += [gap, float(np.nextafter(gap, 0.0)), float(np.nextafter(gap, np.inf))]
+    return out
+
+
+@given(ladder_values_st, st.data())
+@settings(deadline=None, max_examples=150)
+def test_ladder_batches_match_per_level_scans(vals, data):
+    x = np.array(vals, dtype=float)
+    steps = sorted({float(s) for s in np.abs(np.diff(x))} - {0.0})
+    level = level_st | st.sampled_from(steps or [1.0])
+    ladder = _Ladder(x)
+    for _ in range(3):
+        batch = data.draw(st.lists(level, min_size=1, max_size=12)) + rung_levels(ladder)
+        # unsorted, with duplicates
+        batch = data.draw(st.permutations(batch + batch[:3]))
+        assert_ladder_exact(ladder, x, batch)
+
+
+@pytest.mark.parametrize(
+    "vals, batches",
+    [
+        ([2.5], [[0.7, 0.1], [3.0, 0.7]]),  # n = 1
+        ([0.0, 0.5, 0.2, 3.0], [[1.0], [3.0, 2.0, 3.0000000000000004]]),  # two values
+        ([3.0, 2.0, 2.5, 0.0, 1.0, 0.2], [[0.4, 0.8], [2.5, 0.5, 3.0, 1.0]]),  # down-first
+        ([1.0, 1.0, 1.0], [[0.5, 2.0], [0.5]]),  # constant
+    ],
+)
+def test_ladder_edge_cases(vals, batches):
+    x = np.array(vals, dtype=float)
+    ladder = _Ladder(x)
+    for batch in batches:
+        assert_ladder_exact(ladder, x, batch + rung_levels(ladder))
+
+
+def test_ladder_prices_levels_up_to_the_smallest_gap_without_scanning(monkeypatch):
+    scans = []
+    scan = tv_module.tv_scan
+    monkeypatch.setattr(tv_module, "tv_scan", lambda *a: scans.append(a[1]) or scan(*a))
+    x = np.array([0.0, 3.0, 1.0, 4.0, 0.5])  # gaps 3, 2, 3, 3.5 at any level <= 1
+    ladder = _Ladder(x)
+    assert_ladder_exact(ladder, x, [2.0, 0.5, 1.5, 1.0, 2.0])
+    assert scans == [0.5]  # the rest folds the level-0.5 skeleton's gaps
+    assert_ladder_exact(ladder, x, [3.0, 2.5])
+    assert scans == [0.5, 2.5]
+
+
+def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
+    monkeypatch.setattr(tv_module, "_CACHE_VALUES", 8)
+    for path, c in mixed_corpus(20, seed=808, min_len=20, max_len=200):
+        ladder = _Ladder(path.values)
+        for k in range(1, 4):
+            batch = list(c * np.linspace(0.05, 1.2, 9)[::-1] / k) + rung_levels(ladder)
+            assert_ladder_exact(ladder, path.values, batch)
