@@ -158,11 +158,12 @@ def negate(path: SampledPath) -> SampledPath:
 
 
 def add_constant(path: SampledPath, alpha: float) -> SampledPath:
-    """Shift all values by ``alpha``; shares the time grid."""
+    """Shift all values by ``alpha`` on the same time grid, checked by :func:`make_path`."""
     a = float(alpha)
     if not np.isfinite(a):
         raise PathError("non-finite", f"shift must be finite, got {alpha!r}")
-    return SampledPath(path.times, _frozen(path.values + a))
+    with np.errstate(over="ignore"):  # an overflowed value raises non-finite
+        return make_path(path.times, path.values + a)
 
 
 def combine(

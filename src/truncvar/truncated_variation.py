@@ -193,7 +193,31 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
 
 
-_REFINE_ROUNDS = 3
+def _persistence(values: np.ndarray) -> np.ndarray:
+    """Sorted positive values Q with ``tv(c) = sum((q - c)+ for q in Q)``.
+
+    Q is the finite 0-dimensional persistence of the sublevel and the
+    superlevel filtrations of the samples, plus ``osc_norm``. Numpy keeps
+    the turning points, which alternate strictly; one pass pairs them on a
+    stack (the four-point rainflow rule). When the range between the top two
+    points is no larger than the ranges beside it, that max and that min
+    pair up in both filtrations: the range enters Q twice and both points
+    leave. The ranges between the points left are the rest of Q.
+    """
+    x = values[np.r_[True, values[1:] != values[:-1]]]  # drop plateau repeats
+    rise = np.diff(x) > 0
+    turns = x[np.r_[True, rise[1:] != rise[:-1], True]] if x.size > 1 else x
+    stack, q = [], []
+    for v in turns.tolist():
+        while len(stack) >= 3:
+            inner = abs(stack[-1] - stack[-2])
+            if inner > abs(stack[-2] - stack[-3]) or inner > abs(v - stack[-1]):
+                break
+            q += (inner, inner)
+            del stack[-2:]
+        stack.append(v)
+    q += [abs(b - a) for a, b in zip(stack, stack[1:])]
+    return np.sort(np.array(q, dtype=np.float64))
 
 
 def l1_upper_bound(
@@ -201,71 +225,44 @@ def l1_upper_bound(
 ) -> tuple[float, list[float]]:
     """Best split of one level budget across components sharing a grid.
 
-    Minimizes ``sum_i tv(f_i, c_i)`` over positive ``c_i`` summing to ``c``
-    by pairwise transfers: each coordinate map is convex in its level, so
-    the transfer objective is unimodal and a refining grid search finds its
-    minimum. Each round of that search evaluates its whole grid of transfers
-    as two level batches, one per component of the pair. Every component
-    keeps one ladder (see ``sweep``) for the whole call, so a batch starts
-    from the skeletons that earlier rounds and sweeps emitted, and the
-    narrow windows of the later rounds mostly fall below a skeleton's
-    smallest gap, where no scan runs. Returns the achieved bound and the
-    split; the bound is always attainable, hence an upper bound for the
-    underlying infimum, within grid resolution of it. Levels are clamped
-    away from zero because the infimum may sit on the open boundary.
+    Minimizes ``sum_i tv(f_i, c_i)`` over levels ``c_i`` summing to ``c`` by
+    water-filling. Each ``tv_i`` is convex and piecewise linear, the sum of
+    ``(q - c_i)+`` over its persistence values (``_persistence``), so its
+    right slope at a level is ``-#{q in Q_i : q > level}``. Every component
+    starts at a small floor (the infimum may sit on the open boundary at 0),
+    and the rest of the budget goes to the (component, segment) pieces in
+    decreasing order of slope magnitude, ties by component index and then by
+    level; budget left once every component sits at its oscillation goes to
+    the first component. The split is exact, not searched, among levels at
+    or above the floor. The bound is one scan per component at its level,
+    summed in component order, so it equals
+    ``sum(truncated_variation(f_i, c_i).tv)`` and is attained. Returns the
+    bound and the split. ``grid_points`` must be at least 2 and is otherwise
+    ignored; it is kept so that existing callers keep working.
     """
     comps = list(components)
     if not comps:
         raise PathError("empty-path", "need at least one component")
     c = level_value(c)
-    points = int(grid_points)
-    if points < 2:
+    if int(grid_points) < 2:
         raise PathError("bad-level-grid", "grid_points must be at least 2")
-    base = comps[0]
-    for p in comps[1:]:
-        if not np.array_equal(p.times, base.times):
-            raise PathError("domain-mismatch", "components must share one time grid")
+    if any(not np.array_equal(p.times, comps[0].times) for p in comps[1:]):
+        raise PathError("domain-mismatch", "components must share one time grid")
     n_comp = len(comps)
-    oscs = [osc_norm(p) for p in comps]
-    if max(oscs) == 0.0:
-        return 0.0, [c / n_comp] * n_comp
-    # at least one ulp of c, so that split - (split - floor) stays above 0
-    floor = min(max(1e-12 * max(oscs), float(np.spacing(c))), c / n_comp)
-
-    split = [c / n_comp] * n_comp
-    ladders = [_Ladder(p.values) for p in comps]
-    vals = [truncated_variation(comps[i], split[i]).tv for i in range(n_comp)]
-
-    improved = True
-    sweeps = 0
-    while improved and sweeps < 8:
-        improved = False
-        sweeps += 1
-        for i in range(n_comp):
-            for j in range(i + 1, n_comp):
-                lo0 = lo = -(split[j] - floor)
-                hi0 = hi = split[i] - floor
-                if hi <= lo:
-                    continue
-                # grid search over the transfer t with shrinking windows
-                best_t, best_v, best_i, best_j = lo, np.inf, 0.0, 0.0
-                for _ in range(_REFINE_ROUNDS + 1):
-                    grid = np.linspace(lo, hi, points)
-                    tv_i = ladders[i].tv(split[i] - grid)
-                    tv_j = ladders[j].tv(split[j] + grid)
-                    for t, a, b in zip(grid.tolist(), tv_i.tolist(), tv_j.tolist()):
-                        if a + b < best_v:
-                            best_t, best_v, best_i, best_j = t, a + b, a, b
-                    span = (hi - lo) / (points - 1)
-                    if span == 0.0:
-                        break
-                    lo = max(lo0, best_t - span)
-                    hi = min(hi0, best_t + span)
-                current = vals[i] + vals[j]
-                if best_v < current - 1e-15 * max(1.0, current):
-                    split[i] -= best_t
-                    split[j] += best_t
-                    vals[i], vals[j] = best_i, best_j
-                    improved = True
-
-    return float(sum(vals)), split
+    # at least one ulp of c, so that c minus the other levels stays above 0
+    floor = min(max(1e-12 * max(osc_norm(p) for p in comps), float(np.spacing(c))), c / n_comp)
+    pieces = [q[q > floor] for q in (_persistence(p.values) for p in comps)]
+    ends = np.concatenate(pieces)  # piece k of a component ends at its q[k]
+    lengths = np.concatenate([np.diff(q, prepend=floor) for q in pieces])
+    owner = np.repeat(np.arange(n_comp), [q.size for q in pieces])
+    slope = np.concatenate([np.arange(q.size, 0, -1) for q in pieces])
+    order = np.lexsort((ends, owner, -slope))
+    filled = int(np.searchsorted(np.cumsum(lengths[order]), c - n_comp * floor, side="right"))
+    split = [floor] * n_comp
+    # a component's pieces come in increasing level order, so the last wins
+    for i, end in zip(owner[order[:filled]].tolist(), ends[order[:filled]].tolist()):
+        split[i] = end
+    last = int(owner[order[filled]]) if filled < order.size else 0
+    split[last] = 0.0  # so that the sum below runs over the other levels
+    split[last] = max(c - sum(split), floor)
+    return float(sum(truncated_variation(p, s).tv for p, s in zip(comps, split))), split

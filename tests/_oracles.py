@@ -250,6 +250,41 @@ def monotone_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def persistence_union_find(values) -> np.ndarray:
+    """Sorted positive 0-dimensional persistence of the samples, plus osc.
+
+    For the sublevel filtration of ``x`` and then of ``-x``: visit the
+    samples by (value, index), start a class at each, and join it to each
+    neighbour already visited; when a join merges two classes, the younger
+    one (visited later) dies, pairing its first value with the current one.
+    The finite pair values, then ``max - min``, keep only those above 0.
+    """
+    x = [float(v) for v in values]
+    out = []
+    for sign in (1.0, -1.0):
+        y = [sign * v for v in x]
+        order = sorted(range(len(y)), key=lambda i: (y[i], i))
+        rank = {i: r for r, i in enumerate(order)}
+        parent = {}
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in order:
+            parent[i] = i
+            for j in (i - 1, i + 1):
+                if j in parent:
+                    a, b = find(i), find(j)
+                    if a != b:
+                        young, old = (a, b) if rank[a] > rank[b] else (b, a)
+                        out.append(y[i] - y[young])
+                        parent[young] = old
+    out.append(max(x) - min(x))
+    return np.sort(np.array([q for q in out if q > 0.0], dtype=np.float64))
+
+
 _KIND_CYCLE = ("random-walk", "jump-mixture", "near-threshold-oscillator", "ramp")
 
 

@@ -101,6 +101,18 @@ class TestAlgebra:
     def test_add_constant(self, p3):
         assert add_constant(p3, 1).values.tolist() == [6.0, 6.0]
 
+    def test_add_constant_rejects_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathError) as err:
+                add_constant(make_path([0, 1, 2], [0, 1e308, 0]), 1e308)
+        assert err.value.code == "non-finite"
+        # both shifted values are finite, but their span rounds past float64
+        p = make_path([0, 1], [-9.886001176613491e307, 8.090930172009666e307])
+        with pytest.raises(PathError) as err:
+            add_constant(p, 2.161068974061451e306)
+        assert err.value.code == "value-span-overflow"
+
     def test_combine_union_grid(self):
         f = make_path([0, 2], [1.0, 1.0])
         g = make_path([0, 1, 2], [0.0, 2.0, 2.0])

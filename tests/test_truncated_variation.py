@@ -24,7 +24,7 @@ from truncvar import (
 from truncvar._scan import DOWN, full_scan, tv_scan
 from truncvar.truncated_variation import _Ladder
 
-from _oracles import exhaustive_truncated, mixed_corpus
+from _oracles import exhaustive_truncated, mixed_corpus, persistence_union_find
 
 # the module, which the package's same-named function hides as an attribute
 tv_module = importlib.import_module("truncvar.truncated_variation")
@@ -306,7 +306,8 @@ def test_sweep_is_bit_identical_to_per_level_scans_on_corpus():
 
 
 # (c, components as (kind, seed, scale)) on n = 300, with (bound, split) per
-# grid_points as float.hex, recorded from the one-scan-per-level search
+# grid_points as float.hex, recorded from the grid search the exact
+# water-filling split replaced; the pins are references it may only improve on
 L1_PINNED = [
     (
         1.0,
@@ -347,15 +348,64 @@ L1_PINNED = [
 ]
 
 
+def split_floor(comps, c):
+    """The smallest level ``l1_upper_bound`` gives a component."""
+    return min(max(1e-12 * max(osc_norm(p) for p in comps), float(np.spacing(c))), c / len(comps))
+
+
+def scanned_sum(comps, split):
+    return sum(truncated_variation(p, s).tv for p, s in zip(comps, split))
+
+
+def best_breakpoint_split(comps, c, first, second):
+    """Smallest scanned sum over two-level splits of ``c`` that put one
+    component on one of its candidate levels, or one of them on the floor."""
+    f = split_floor(comps, c)
+    splits = [(f, c - f), (c - f, f)]
+    splits += [(q, c - q) for q in first if f <= q <= c - f]
+    splits += [(c - q, q) for q in second if f <= q <= c - f]
+    return min(scanned_sum(comps, s) for s in splits)
+
+
 @pytest.mark.parametrize("c, specs, pins", L1_PINNED)
 def test_l1_upper_bound_pinned(c, specs, pins):
     comps = [
         generate(GeneratorSpec(kind, 300, seed=seed, scale=scale))
         for kind, seed, scale in specs
     ]
-    for points, (bound, split) in pins.items():
-        got = l1_upper_bound(comps, c, grid_points=points)
-        assert (got[0].hex(), [s.hex() for s in got[1]]) == (bound, split)
+    bound, split = l1_upper_bound(comps, c)
+    for points, (pinned, _) in pins.items():
+        assert l1_upper_bound(comps, c, grid_points=points) == (bound, split)
+        assert bound <= float.fromhex(pinned) * (1 + 1e-12)
+    assert bound <= scanned_sum(comps, [c / len(comps)] * len(comps))
+    assert all(s > 0 for s in split)
+    assert abs(sum(split) - c) <= 1e-12 * c
+    if len(comps) == 2:
+        q = [tv_module._persistence(p.values) for p in comps]
+        assert abs(bound - best_breakpoint_split(comps, c, *q)) <= 1e-12 * bound
+
+
+def pairwise_distances(values):
+    return {abs(b - a) for a in values for b in values}
+
+
+def same_length_pair(n):
+    vals = st.lists(st.integers(-4, 4).map(float) | st.floats(-10, 10), min_size=n, max_size=n)
+    return st.tuples(vals, vals)
+
+
+@given(st.integers(1, 12).flatmap(same_length_pair), st.floats(min_value=1e-3, max_value=60.0))
+@settings(deadline=None, max_examples=200)
+def test_l1_upper_bound_is_the_best_breakpoint_split(pair, c):
+    # a sum of two convex piecewise-linear curves is least at a breakpoint,
+    # and every breakpoint of tv is a distance between two samples
+    comps = [path_from(v) for v in pair]
+    bound, split = l1_upper_bound(comps, c)
+    best = best_breakpoint_split(comps, c, *map(pairwise_distances, pair))
+    assert abs(bound - best) <= 1e-12 * best
+    assert bound == scanned_sum(comps, split)
+    assert all(s > 0 for s in split)
+    assert abs(sum(split) - c) <= 1e-12 * c
 
 
 def test_l1_upper_bound_budget_far_above_oscillation():
@@ -450,3 +500,38 @@ def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
         for k in range(1, 4):
             batch = list(c * np.linspace(0.05, 1.2, 9)[::-1] / k) + rung_levels(ladder)
             assert_ladder_exact(ladder, path.values, batch)
+
+
+def assert_persistence_route(path, levels):
+    """``sum((q - c)+)`` over the persistence values against the scan and the
+    DP, and the values themselves against a union-find pairing."""
+    q = tv_module._persistence(path.values)
+    ref = persistence_union_find(path.values)
+    assert q.view(np.int64).tolist() == ref.view(np.int64).tolist()
+    tol = 1e-9 * max(1.0, osc_norm(path))
+    for c in levels:
+        got = float(np.maximum(q - c, 0.0).sum())
+        assert abs(got - truncated_variation(path, c).tv) <= tol
+        assert abs(got - oracle_truncated_variation(path, c).tv) <= tol
+
+
+def test_persistence_route_on_corpus():
+    for path, c in mixed_corpus(40, seed=53, max_len=150):
+        q = tv_module._persistence(path.values)
+        assert_persistence_route(path, [c, c / 3, *q[:: max(1, q.size // 6)]])
+
+
+persistence_values_st = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=30),
+    ladder_values_st,
+    st.builds(lambda v, n: [v] * n, st.floats(-20, 20), st.integers(1, 6)),  # constant
+)
+
+
+@given(persistence_values_st, level_st)
+@settings(deadline=None, max_examples=200)
+def test_persistence_route_at_breakpoints(vals, c):
+    path = path_from(vals)
+    q = tv_module._persistence(path.values).tolist()
+    around = [float(np.nextafter(v, d)) for v in q for d in (0.0, np.inf)]
+    assert_persistence_route(path, [c, *q, *[v for v in around if v > 0]])
