@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
-"""Scaling experiment for the one-pass scan.
+"""Scaling experiment for the one-pass scan, or for the CSV layer.
 
 Times the truncated-variation query across path sizes, prints a table and
 the log-log fit exponent (1.0 means linear), and compares the fast scan
 against the quadratic oracle at a desk-scale size as a sanity check.
+
+With ``--io`` it times the CSV layer instead: at each size, the best of
+several runs of ``read_path``, ``write_path`` and ``write_columns`` (four
+columns), in ms and in MB/s of file text, on files in a temporary
+directory. For example::
+
+    PYTHONPATH=src python scripts/bench_scaling.py --io --sizes 10000 100000
 """
 
 import argparse
+import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -18,15 +28,39 @@ from truncvar import (
     truncated_variation,
 )
 from truncvar._scan import NUMBA_ENABLED
+from truncvar.pathio import read_path, write_columns, write_path
 
 
-def best_time(path, c, reps):
+def best_time(fn, reps):
     best = np.inf
     for _ in range(reps):
         t0 = time.perf_counter()
-        truncated_variation(path, c)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def io_table(sizes, seed):
+    """Best-of-reps ms and MB/s of each CSV layer call at each size."""
+    print(f"{'n':>12} {'layer':>14} {'best_ms':>10} {'MB/s':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dest = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+        for n in sizes:
+            path = generate(GeneratorSpec("random-walk", n, seed=seed))
+            # the shape of a `tv --prefix` file
+            header = ("time", "utv", "dtv", "tv")
+            columns = (path.times, path.values, -path.values, 2.0 * path.values)
+            write_path(path, src)
+            reps = max(3, 1_000_000 // n)
+            layers = [
+                ("read_path", src, lambda: read_path(src)),
+                ("write_path", dest, lambda: write_path(path, dest)),
+                ("write_columns", dest, lambda: write_columns(dest, header, columns)),
+            ]
+            for name, file, fn in layers:
+                t = best_time(fn, reps)
+                mb = os.path.getsize(file) / 2**20
+                print(f"{n:>12,} {name:>14} {t * 1e3:>10.2f} {mb / t:>8.1f}")
 
 
 def main():
@@ -34,7 +68,11 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[10**5, 10**6, 10**7])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-c", "--level", type=float, default=1.0)
+    ap.add_argument("--io", action="store_true", help="time the CSV layer instead of the scan")
     args = ap.parse_args()
+    if args.io:
+        io_table(args.sizes, args.seed)
+        return
 
     print(f"jit kernels: {'numba' if NUMBA_ENABLED else 'python fallback'}")
     warm = generate(GeneratorSpec("random-walk", 4096, seed=args.seed))
@@ -50,7 +88,7 @@ def main():
     for n in args.sizes:
         path = generate(GeneratorSpec("random-walk", n, seed=args.seed))
         reps = max(3, 2_000_000 // n)
-        t = best_time(path, args.level, reps)
+        t = best_time(lambda: truncated_variation(path, args.level), reps)
         times.append(t)
         print(f"{n:>12,} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
     if len(args.sizes) >= 2:

@@ -59,7 +59,12 @@ so ``up`` is the left-to-right sum of ``(s[k+1] - s[k]) - c'`` over the
 rises and ``down`` that of ``(s[k] - s[k+1]) - c'`` over the falls, the
 same operations on the same operands as the scan; negating a difference is
 exact, so the falls are ``|s[k+1] - s[k]|`` too. A skeleton of one value
-gives 0.0. ``truncated_variation._Ladder`` prices levels this way.
+gives 0.0. ``truncated_variation.sweep`` prices levels this way.
+
+Every kernel call checks its totals once: if ``up + down`` overflows,
+``PathError`` ``tv-overflow`` is raised instead of returning ``inf``. The
+totals bound every partial sum the per-sample arrays hold, so those stay
+finite.
 
 The kernel is compiled with numba when it is importable; the plain-Python
 definition below is both the fallback and the reference semantics.
@@ -68,9 +73,12 @@ Accumulation is left to right, which keeps reruns bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .path_model import PathError
 
 try:
     import numba
@@ -190,13 +198,29 @@ _NO_TRIGGERS = np.empty(0, np.int64)
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
+def checked_total(total: float) -> float:
+    """``total`` if it is finite, else PathError ``tv-overflow``."""
+    if not math.isfinite(total):
+        raise PathError("tv-overflow", "the truncated variation overflows float64")
+    return total
+
+
+def _kernel(values, c, triggers):
+    """``_tv_scan`` with float totals that are checked to be finite."""
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        up_total, down_total, direction, k = _tv_scan(values, c, triggers)
+    up_total, down_total = float(up_total), float(down_total)
+    checked_total(up_total + down_total)
+    return up_total, down_total, int(direction), k
+
+
 def _window_scan(values, c):
     """``(up, down, direction, starts)``: the totals, and the start of every
     window, ``[0, t0, t1, ...]``, i.e. 0 then the trigger indices."""
     starts = np.empty(values.shape[0], np.int64)
     starts[0] = 0
-    up_total, down_total, direction, k = _tv_scan(values, c, starts[1:])
-    return float(up_total), float(down_total), int(direction), starts[: k + 1]
+    up_total, down_total, direction, k = _kernel(values, c, starts[1:])
+    return up_total, down_total, direction, starts[: k + 1]
 
 
 def _window_extremes(values, starts, direction):
@@ -248,8 +272,7 @@ def tv_scan(
     The skeleton is None unless ``keep_skeleton`` is set.
     """
     if not keep_skeleton:
-        up_total, down_total, direction, _ = _tv_scan(values, c, _NO_TRIGGERS)
-        return float(up_total), float(down_total), int(direction), None
+        return *_kernel(values, c, _NO_TRIGGERS)[:3], None
     up_total, down_total, direction, starts = _window_scan(values, c)
     return up_total, down_total, direction, _window_extremes(values, starts, direction)
 

@@ -19,6 +19,7 @@ class PathError(ValueError):
 
     Codes used across the package: ``empty-path``, ``length-mismatch``,
     ``non-finite``, ``times-not-increasing``, ``value-span-overflow``,
+    ``tv-overflow`` (a truncated variation total overflows float64),
     ``outside-domain``, ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
     ``stale-decomposition``, ``unknown-generator``, ``bad-generator-spec``.
     """

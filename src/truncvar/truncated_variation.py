@@ -10,13 +10,12 @@ dynamic program and exists purely to cross-check the scan.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._scan import full_scan, tv_scan
+from ._scan import checked_total, full_scan, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -93,7 +92,6 @@ def prefix_curves(path: SampledPath, c):
 
 
 _FOLD_BLOCK = 1 << 16  # gap-by-level terms folded at once
-_CACHE_VALUES = 1 << 20  # skeleton values a ladder keeps besides the samples
 
 
 def _fold(gaps: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -111,76 +109,22 @@ def _fold(gaps: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Ladder:
-    """``tv`` of one sample sequence at any batch of levels, bit-identical to
-    one scan per level, from skeletons cached across batches.
-
-    Each rung is a level a and a skeleton exact at every level ``>= a`` (see
-    ``_scan``); the rung at level 0 holds the samples. A skeleton's values
-    alternate strictly and every gap between neighbours is at least a, so at
-    a level c no larger than its smallest gap the scan would trigger at
-    every value: ``tv(c)`` is the fold of ``gap - c`` over the rises plus
-    the fold over the falls, and no scan runs. A level above the smallest
-    gap is scanned on the highest rung below it, and the skeleton that scan
-    emits becomes a new rung. Once the skeletons hold more than
-    ``_CACHE_VALUES`` values, the lowest rungs are dropped, never the
-    samples or the newest rung.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self._levels = [0.0]
-        self._rungs = [(values, -np.inf)]  # (skeleton, smallest gap)
-        self._cached = 0
-
-    def tv(self, levels: np.ndarray) -> np.ndarray:
-        order = np.argsort(levels, kind="stable")
-        pending = levels[order]
-        level_value(pending[0])  # the smallest level vouches for the rest
-        done = np.empty(pending.shape[0])
-        i = 0
-        while i < pending.shape[0]:
-            c = float(pending[i])
-            at = bisect.bisect_right(self._levels, c) - 1
-            skeleton, min_gap = self._rungs[at]
-            if c <= min_gap:
-                j = int(np.searchsorted(pending, min_gap, side="right"))
-                gaps = np.abs(np.diff(skeleton))
-                first_rise = int(skeleton.shape[0] > 1 and skeleton[1] < skeleton[0])
-                rises, falls = gaps[first_rise::2], gaps[1 - first_rise :: 2]
-                batch = pending[i:j]
-                done[i:j] = _fold(rises, batch) + _fold(falls, batch)
-                i = j
-            else:
-                up, down, _, shorter = tv_scan(skeleton, c, True)
-                done[i] = up + down
-                self._add(at + 1, c, shorter)
-                i += 1
-        out = np.empty_like(done)
-        out[order] = done
-        return out
-
-    def _add(self, at: int, c: float, skeleton: np.ndarray) -> None:
-        gaps = np.abs(np.diff(skeleton))
-        self._levels.insert(at, c)
-        self._rungs.insert(at, (skeleton, float(gaps.min()) if gaps.size else np.inf))
-        self._cached += skeleton.shape[0]
-        while self._cached > _CACHE_VALUES and len(self._rungs) > 2:
-            drop = 2 if self._rungs[1][0] is skeleton else 1
-            self._cached -= self._rungs[drop][0].shape[0]
-            del self._levels[drop], self._rungs[drop]
-
-
 def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     """Evaluate the total truncated variation on an increasing level grid.
 
-    The levels form a ladder (``_Ladder``): a level is scanned on the
-    skeleton that a scan at a lower level emitted, which holds the extremes
-    all higher levels can still see, or, when it is no larger than every gap
-    of that skeleton, priced in closed form from the gaps. Either way the
-    same comparisons and the same additions run on the same values as in a
-    scan of the whole path, so every ``tv_values[i]`` equals
-    ``truncated_variation(path, levels[i]).tv`` bit for bit, at a cost near
-    one scan of the path for the whole grid.
+    The levels run up a ladder of skeletons (see ``_scan``). A level above
+    the smallest gap of the current skeleton is scanned on it, and the
+    skeleton that scan emits, which holds the extremes all higher levels can
+    still see, becomes the current one; the first level is scanned on the
+    samples. A level no larger than the smallest gap is priced in closed
+    form from the gaps: the fold of ``gap - c`` over the rises plus the fold
+    over the falls. Either way the same comparisons and the same additions
+    run on the same values as in a scan of the whole path, so every
+    ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
+    for bit, at a cost near one scan of the path for the whole grid. A
+    closed form adds, in the same order, terms no larger than those of the
+    scan that emitted its skeleton, so it is finite when that scan's
+    checked total is.
     """
     grid = np.asarray(levels, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -189,7 +133,23 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
         raise PathError("bad-level-grid", "levels must be finite and > 0")
     if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
         raise PathError("bad-level-grid", "levels must be strictly increasing")
-    tv_values = _Ladder(path.values).tv(grid)
+    tv_values = np.empty(grid.size)
+    skeleton, min_gap = path.values, -np.inf
+    i = 0
+    while i < grid.size:
+        c = float(grid[i])
+        if c <= min_gap:
+            j = int(np.searchsorted(grid, min_gap, side="right"))
+            first_rise = int(skeleton.shape[0] > 1 and skeleton[1] < skeleton[0])
+            rises, falls = gaps[first_rise::2], gaps[1 - first_rise :: 2]
+            tv_values[i:j] = _fold(rises, grid[i:j]) + _fold(falls, grid[i:j])
+            i = j
+        else:
+            up, down, _, skeleton = tv_scan(skeleton, c, True)
+            tv_values[i] = up + down
+            gaps = np.abs(np.diff(skeleton))
+            min_gap = float(gaps.min()) if gaps.size else np.inf
+            i += 1
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
 
 
@@ -257,7 +217,9 @@ def l1_upper_bound(
     owner = np.repeat(np.arange(n_comp), [q.size for q in pieces])
     slope = np.concatenate([np.arange(q.size, 0, -1) for q in pieces])
     order = np.lexsort((ends, owner, -slope))
-    filled = int(np.searchsorted(np.cumsum(lengths[order]), c - n_comp * floor, side="right"))
+    with np.errstate(over="ignore"):  # a sum past float64 is past any budget too
+        reach = np.cumsum(lengths[order])
+    filled = int(np.searchsorted(reach, c - n_comp * floor, side="right"))
     split = [floor] * n_comp
     # a component's pieces come in increasing level order, so the last wins
     for i, end in zip(owner[order[:filled]].tolist(), ends[order[:filled]].tolist()):
@@ -265,4 +227,5 @@ def l1_upper_bound(
     last = int(owner[order[filled]]) if filled < order.size else 0
     split[last] = 0.0  # so that the sum below runs over the other levels
     split[last] = max(c - sum(split), floor)
-    return float(sum(truncated_variation(p, s).tv for p, s in zip(comps, split))), split
+    bound = float(sum(truncated_variation(p, s).tv for p, s in zip(comps, split)))
+    return checked_total(bound), split

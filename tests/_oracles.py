@@ -6,6 +6,8 @@ so every test run sees byte-identical paths and levels.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from truncvar import GeneratorSpec, generate, osc_norm, uniform_stream
@@ -321,3 +323,13 @@ def mixed_corpus(count: int, seed: int = 2024, min_len: int = 2, max_len: int = 
         c = (1.0 - u[5 * i + 4]) * 2.0 * osc if osc > 0 else 1.0
         out.append((path, c))
     return out
+
+
+def write_columns_per_row(dest, header, columns) -> None:
+    """Reference column writer: one ``repr(float(x))`` per number, one row at
+    a time, the whole file built in memory. ``pathio.write_columns`` must
+    write the same bytes."""
+    rows = [",".join(header)]
+    for row in zip(*columns):
+        rows.append(",".join(repr(float(x)) for x in row))
+    Path(dest).write_text("\n".join(rows) + "\n", encoding="utf-8")

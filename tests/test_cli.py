@@ -294,3 +294,23 @@ def test_file_commands_report_stage_times_and_peak_rss(p1_file, tmp_path, capsys
         rep = dict(line.split("=", 1) for line in lines)
         assert all(float(rep[k]) >= 0.0 for k in stages)
         assert int(rep["peak_rss_kb"]) > 0
+
+
+def test_non_utf8_input_exit_3(tmp_path, capsys):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"time,value\n0,1\n1,\xff2\n")
+    assert main(["tv", str(src), "-c", "1"]) == 3
+    assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_tv_overflow_exit_4_without_warnings(tmp_path):
+    # every rise is finite, their sum is not
+    src = tmp_path / "huge.csv"
+    write_path(make_path(np.arange(4000.0), np.tile([0.0, 1e305], 2000)), src)
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "truncvar", "tv", str(src), "-c", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 4
+    assert run.stderr.startswith("error: tv-overflow:")

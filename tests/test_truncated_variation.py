@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from truncvar import (
     truncated_variation,
 )
 from truncvar._scan import DOWN, full_scan, tv_scan
-from truncvar.truncated_variation import _Ladder
 
 from _oracles import exhaustive_truncated, mixed_corpus, persistence_union_find
 
@@ -431,38 +431,47 @@ def test_sweep_reuses_a_skeleton_that_stopped_shrinking():
         assert np.array_equal(sweep(path, grid).tv_values, ref)
 
 
-def assert_ladder_exact(ladder, x, batch):
-    """One batch of the ladder equals one scan of the samples per level."""
-    got = ladder.tv(np.array(batch, dtype=float))
-    ref = []
-    for c in batch:
-        up, down, _, _ = tv_scan(x, float(c))
-        ref.append(up + down)
-    assert got.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+def per_level_scans(x, grid):
+    """``tv`` at each level from one scan of the samples per level."""
+    totals = [tv_scan(x, float(c))[:2] for c in grid]
+    return np.array([up + down for up, down in totals])
 
 
-def rung_levels(ladder):
-    """Each cached level, and each skeleton's smallest gap and +-1 ulp."""
-    out = []
-    for a, (_, gap) in zip(ladder._levels[1:], ladder._rungs[1:]):
-        out.append(a)
-        if np.isfinite(gap):
+def assert_sweep_exact(x, levels):
+    """``sweep`` over the distinct positive ``levels`` equals one scan of the
+    samples per level, bit for bit."""
+    x = np.array(x, dtype=float)
+    grid = np.unique(np.array(levels, dtype=float))
+    grid = grid[grid > 0]
+    got = sweep(path_from(x), grid).tv_values
+    assert got.view(np.int64).tolist() == per_level_scans(x, grid).view(np.int64).tolist()
+
+
+def skeleton_gap_levels(x, levels):
+    """Each level, and the smallest gap of the skeleton a scan at it emits,
+    with the gap's neighbours 1 ulp away: the ends of a closed-form run."""
+    out = list(levels)
+    for c in levels:
+        gaps = np.abs(np.diff(tv_scan(np.array(x, dtype=float), c, True)[3]))
+        if gaps.size:
+            gap = float(gaps.min())
             out += [gap, float(np.nextafter(gap, 0.0)), float(np.nextafter(gap, np.inf))]
     return out
+
+
+# ``sweep`` climbs a ladder of skeletons, keeping only the newest; each
+# batch of levels below is one sweep grid
 
 
 @given(ladder_values_st, st.data())
 @settings(deadline=None, max_examples=150)
 def test_ladder_batches_match_per_level_scans(vals, data):
-    x = np.array(vals, dtype=float)
-    steps = sorted({float(s) for s in np.abs(np.diff(x))} - {0.0})
+    steps = sorted({float(s) for s in np.abs(np.diff(vals))} - {0.0})
     level = level_st | st.sampled_from(steps or [1.0])
-    ladder = _Ladder(x)
-    for _ in range(3):
-        batch = data.draw(st.lists(level, min_size=1, max_size=12)) + rung_levels(ladder)
-        # unsorted, with duplicates
-        batch = data.draw(st.permutations(batch + batch[:3]))
-        assert_ladder_exact(ladder, x, batch)
+    for _ in range(2):
+        batch = data.draw(st.lists(level, min_size=1, max_size=12))
+        # levels at each skeleton's smallest gap, then gaps of those skeletons
+        assert_sweep_exact(vals, skeleton_gap_levels(vals, skeleton_gap_levels(vals, batch)))
 
 
 @pytest.mark.parametrize(
@@ -475,31 +484,70 @@ def test_ladder_batches_match_per_level_scans(vals, data):
     ],
 )
 def test_ladder_edge_cases(vals, batches):
-    x = np.array(vals, dtype=float)
-    ladder = _Ladder(x)
     for batch in batches:
-        assert_ladder_exact(ladder, x, batch + rung_levels(ladder))
+        assert_sweep_exact(vals, skeleton_gap_levels(vals, batch))
 
 
-def test_ladder_prices_levels_up_to_the_smallest_gap_without_scanning(monkeypatch):
+def count_scans(monkeypatch):
+    """The level of every scan ``sweep`` runs, in order."""
     scans = []
     scan = tv_module.tv_scan
     monkeypatch.setattr(tv_module, "tv_scan", lambda *a: scans.append(a[1]) or scan(*a))
-    x = np.array([0.0, 3.0, 1.0, 4.0, 0.5])  # gaps 3, 2, 3, 3.5 at any level <= 1
-    ladder = _Ladder(x)
-    assert_ladder_exact(ladder, x, [2.0, 0.5, 1.5, 1.0, 2.0])
-    assert scans == [0.5]  # the rest folds the level-0.5 skeleton's gaps
-    assert_ladder_exact(ladder, x, [3.0, 2.5])
+    return scans
+
+
+def test_ladder_prices_levels_up_to_the_smallest_gap_without_scanning(monkeypatch):
+    scans = count_scans(monkeypatch)
+    x = [0.0, 3.0, 1.0, 4.0, 0.5]  # gaps 3, 2, 3, 3.5 at any level <= 1
+    assert_sweep_exact(x, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    # 1.0 to 2.0 fold the level-0.5 skeleton's gaps, 3.0 the level-2.5
+    # skeleton's [0, 4, 0.5]
     assert scans == [0.5, 2.5]
 
 
 def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
-    monkeypatch.setattr(tv_module, "_CACHE_VALUES", 8)
+    scans = count_scans(monkeypatch)
     for path, c in mixed_corpus(20, seed=808, min_len=20, max_len=200):
-        ladder = _Ladder(path.values)
-        for k in range(1, 4):
-            batch = list(c * np.linspace(0.05, 1.2, 9)[::-1] / k) + rung_levels(ladder)
-            assert_ladder_exact(ladder, path.values, batch)
+        grid = np.unique(skeleton_gap_levels(path.values, list(c * np.linspace(0.05, 1.2, 9))))
+        scans.clear()
+        assert_sweep_exact(path.values, grid)
+        # a level is scanned iff it lies above the smallest gap of the
+        # skeleton the previous scan emitted
+        want, min_gap = [], -np.inf
+        for g in grid.tolist():
+            if g > min_gap:
+                want.append(g)
+                gaps = np.abs(np.diff(tv_scan(path.values, g, True)[3]))
+                min_gap = float(gaps.min()) if gaps.size else np.inf
+        assert scans == want
+
+
+def test_total_overflow_is_a_path_error_without_warnings():
+    # every increment is finite; the sum of the rises (or of up and down) is not
+    paths = [
+        make_path(np.arange(4000.0), np.tile([0.0, 1e305], 2000)),
+        make_path(np.arange(2000.0), np.tile([0.0, 1.7e305], 1000)),
+    ]
+    calls = [
+        lambda p: truncated_variation(p, 1),
+        lambda p: sweep(p, [1.0, 2.0]),
+        lambda p: lazy_approximation(p, 1),
+        lambda p: prefix_curves(p, 1),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            for call in calls:
+                with pytest.raises(PathError) as err:
+                    call(path)
+                assert err.value.code == "tv-overflow"
+        # finite component totals whose sum overflows, with oscillations
+        # that sum past float64 too and that do not
+        for big in ([0.0, 1e308], np.tile([0.0, 5e304], 1000)):
+            comp = path_from(big)
+            with pytest.raises(PathError) as err:
+                l1_upper_bound([comp, comp], 1.0)
+            assert err.value.code == "tv-overflow"
 
 
 def assert_persistence_route(path, levels):
