@@ -8,7 +8,9 @@ against the quadratic oracle at a desk-scale size as a sanity check.
 With ``--io`` it times the CSV layer instead: at each size, the best of
 several runs of ``read_path``, ``write_path`` and ``write_columns`` (four
 columns), in ms and in MB/s of file text, on files in a temporary
-directory. For example::
+directory, once on each codec route (``native`` when the C++ codec builds,
+and ``python``); the ``codec`` column names the route that ran. For
+example::
 
     PYTHONPATH=src python scripts/bench_scaling.py --io --sizes 10000 100000
 """
@@ -18,6 +20,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from truncvar import (
     oracle_truncated_variation,
     truncated_variation,
 )
+from truncvar import _native, pathio
 from truncvar._scan import NUMBA_ENABLED
 from truncvar.pathio import read_path, write_columns, write_path
 
@@ -41,8 +45,12 @@ def best_time(fn, reps):
 
 
 def io_table(sizes, seed):
-    """Best-of-reps ms and MB/s of each CSV layer call at each size."""
-    print(f"{'n':>12} {'layer':>14} {'best_ms':>10} {'MB/s':>8}")
+    """Best-of-reps ms and MB/s of each CSV layer call at each size, per codec route."""
+    lib = _native.codec()
+    # stand-ins for _native.codec: the native route when it builds, then python
+    routes = [lambda: None] if lib is None else [lambda: lib, lambda: None]
+    print(f"native codec: {'built' if lib is not None else 'unavailable, python route only'}")
+    print(f"{'n':>12} {'layer':>14} {'codec':>7} {'best_ms':>10} {'MB/s':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         src, dest = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
         for n in sizes:
@@ -58,9 +66,12 @@ def io_table(sizes, seed):
                 ("write_columns", dest, lambda: write_columns(dest, header, columns)),
             ]
             for name, file, fn in layers:
-                t = best_time(fn, reps)
-                mb = os.path.getsize(file) / 2**20
-                print(f"{n:>12,} {name:>14} {t * 1e3:>10.2f} {mb / t:>8.1f}")
+                for codec in routes:
+                    with mock.patch.object(_native, "codec", codec):
+                        ran = pathio.codec()
+                        t = best_time(fn, reps)
+                    mb = os.path.getsize(file) / 2**20
+                    print(f"{n:>12,} {name:>14} {ran:>7} {t * 1e3:>10.2f} {mb / t:>8.1f}")
 
 
 def main():

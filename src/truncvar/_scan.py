@@ -64,7 +64,9 @@ gives 0.0. ``truncated_variation.sweep`` prices levels this way.
 Every kernel call checks its totals once: if ``up + down`` overflows,
 ``PathError`` ``tv-overflow`` is raised instead of returning ``inf``. The
 totals bound every partial sum the per-sample arrays hold, so those stay
-finite.
+finite. The band ``extreme -+ c/2`` is not bounded by them: ``full_scan``
+computes it without warnings, and ``lazy_approximation`` raises
+``band-overflow`` when it is not finite.
 
 The kernel is compiled with numba when it is importable; the plain-Python
 definition below is both the fallback and the reference semantics.
@@ -73,12 +75,11 @@ Accumulation is left to right, which keeps reruns bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .path_model import PathError
+from .path_model import checked_total
 
 try:
     import numba
@@ -196,13 +197,6 @@ class Regimes(NamedTuple):
 
 _NO_TRIGGERS = np.empty(0, np.int64)
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def checked_total(total: float) -> float:
-    """``total`` if it is finite, else PathError ``tv-overflow``."""
-    if not math.isfinite(total):
-        raise PathError("tv-overflow", "the truncated variation overflows float64")
-    return total
 
 
 def _kernel(values, c, triggers):
@@ -343,12 +337,13 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     np.add(down, diff, out=down, where=valley)
     del diff
     lows, highs = _alternate(skel[1:], direction)
-    seek = skel[1] - half if direction == DOWN else skel[1] + half
-    del skel
-
-    approx = np.empty(n)
-    np.subtract(extreme, half, out=approx, where=peak)
-    np.add(extreme, half, out=approx, where=valley)
+    # a band past float64 holds +-inf, and lazy_approximation reports it
+    with np.errstate(over="ignore"):
+        seek = skel[1] - half if direction == DOWN else skel[1] + half
+        del skel
+        approx = np.empty(n)
+        np.subtract(extreme, half, out=approx, where=peak)
+        np.add(extreme, half, out=approx, where=valley)
     approx[:seek_end] = seek
     return ScanResult(
         approx, up, down, kind, extreme, up_times, down_times, lows, highs, direction

@@ -3,13 +3,16 @@
 Every subcommand prints a flat ``key=value`` report: the command name, a
 digest of the input path, the level(s) used, the operation's results, and
 the wall time of the computation in milliseconds. Commands that read or
-write path files then add ``read_ms`` (when a file was read), ``write_ms``
-(when files were written) and ``peak_rss_kb``, the process's peak resident
-set size from ``getrusage`` (KiB on Linux). Floats are rendered with shortest
-round-trip precision. Exit codes: 0 success, 2 bad usage, 3 malformed
-input data, 4 numeric-domain violation (e.g. a non-positive level),
-5 I/O failure. All behavior is controlled by flags; there is no
-configuration file and no environment lookup.
+write path files put ``codec`` before that time (``native`` when the C++
+CSV codec is in use, ``python`` when ``pathio`` takes its Python routes;
+``bench`` reports it too) and add ``read_ms`` (when a file was read),
+``write_ms`` (when files were written) and ``peak_rss_kb``, the process's
+peak resident set size from ``getrusage`` (KiB on Linux). Floats are
+rendered with shortest round-trip precision. Exit codes: 0 success, 2 bad
+usage, 3 malformed input data, 4 numeric-domain violation (e.g. a
+non-positive level, or a total or band that overflows float64), 5 I/O
+failure. All behavior is controlled by flags; there is no configuration
+file and no environment lookup.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ import numpy as np
 from ._scan import NUMBA_ENABLED
 from .optimal_approx import lazy_approximation, step_skeleton, zero_start_approximation
 from .path_model import PathError, SampledPath, osc_norm, total_variation
-from .pathio import FileFormatError, format_number, read_path, write_columns, write_path
+from .pathio import (
+    FileFormatError,
+    codec,
+    format_number,
+    read_path,
+    write_columns,
+    write_path,
+)
 from .synth import KINDS, GeneratorSpec, generate
 from .truncated_variation import (
     oracle_truncated_variation,
@@ -59,6 +69,8 @@ class RunReport:
 
 
 def _digest(path: SampledPath) -> list[tuple[str, object]]:
+    """The input's digest. Commands take it before any output is written, so
+    an input whose total variation overflows (``tv-overflow``) leaves none."""
     lo, hi = path.domain
     return [
         ("n", path.n),
@@ -76,8 +88,9 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - t0) * 1e3
 
 
-def _file_stages(read_ms=None, write_ms=None) -> list[tuple[str, object]]:
-    entries = [] if read_ms is None else [("read_ms", read_ms)]
+def _file_stages(wall_ms, read_ms=None, write_ms=None) -> list[tuple[str, object]]:
+    entries = [("codec", codec()), ("wall_ms", wall_ms)]
+    entries += [] if read_ms is None else [("read_ms", read_ms)]
     entries += [] if write_ms is None else [("write_ms", write_ms)]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return entries + [("peak_rss_kb", int(peak))]
@@ -101,11 +114,12 @@ def _parse_levels(spec: str) -> np.ndarray:
 
 def _cmd_tv(args) -> RunReport:
     path, read_ms = _timed(read_path, args.input)
+    digest = _digest(path)
     t0 = time.perf_counter()
     result = truncated_variation(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
     entries = [("command", "tv"), ("input", args.input)]
-    entries += _digest(path)
+    entries += digest
     entries.append(("c", float(args.level)))
     entries += [("utv", result.utv), ("dtv", result.dtv), ("tv", result.tv)]
     if args.oracle:
@@ -127,13 +141,13 @@ def _cmd_tv(args) -> RunReport:
         columns = (path.times, up, down, tv)
         _, write_ms = _timed(write_columns, args.prefix, ("time", "utv", "dtv", "tv"), columns)
         entries.append(("prefix_file", args.prefix))
-    entries.append(("wall_ms", wall_ms))
-    entries += _file_stages(read_ms, write_ms)
+    entries += _file_stages(wall_ms, read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_approx(args) -> RunReport:
     path, read_ms = _timed(read_path, args.input)
+    digest = _digest(path)
     t0 = time.perf_counter()
     if args.zero_start:
         result = zero_start_approximation(path, args.level)
@@ -142,21 +156,21 @@ def _cmd_approx(args) -> RunReport:
     wall_ms = (time.perf_counter() - t0) * 1e3
     _, write_ms = _timed(write_path, result.approximation, args.out)
     entries = [("command", "approx"), ("input", args.input)]
-    entries += _digest(path)
+    entries += digest
     entries += [
         ("c", float(args.level)),
         ("zero_start", int(bool(args.zero_start))),
         ("achieved_tv", result.achieved_tv),
         ("sup_error", result.sup_error),
         ("out", args.out),
-        ("wall_ms", wall_ms),
     ]
-    entries += _file_stages(read_ms, write_ms)
+    entries += _file_stages(wall_ms, read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_decompose(args) -> RunReport:
     path, read_ms = _timed(read_path, args.input)
+    digest = _digest(path)
     t0 = time.perf_counter()
     result = lazy_approximation(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -165,53 +179,52 @@ def _cmd_decompose(args) -> RunReport:
     _, up_ms = _timed(write_path, up, args.out_up)
     _, down_ms = _timed(write_path, down, args.out_down)
     entries = [("command", "decompose"), ("input", args.input)]
-    entries += _digest(path)
+    entries += digest
     entries += [
         ("c", float(args.level)),
         ("utv", float(result.jordan.up_component[-1])),
         ("dtv", float(result.jordan.down_component[-1])),
         ("out_up", args.out_up),
         ("out_down", args.out_down),
-        ("wall_ms", wall_ms),
     ]
-    entries += _file_stages(read_ms, up_ms + down_ms)
+    entries += _file_stages(wall_ms, read_ms, up_ms + down_ms)
     return RunReport(entries)
 
 
 def _cmd_sweep(args) -> RunReport:
     path, read_ms = _timed(read_path, args.input)
+    digest = _digest(path)
     levels = _parse_levels(args.levels)
     t0 = time.perf_counter()
     curve = sweep(path, levels)
     wall_ms = (time.perf_counter() - t0) * 1e3
     _, write_ms = _timed(write_columns, args.out, ("c", "tv"), (curve.levels, curve.tv_values))
     entries = [("command", "sweep"), ("input", args.input)]
-    entries += _digest(path)
+    entries += digest
     entries += [
         ("levels", args.levels),
         ("n_levels", int(curve.levels.size)),
         ("out", args.out),
-        ("wall_ms", wall_ms),
     ]
-    entries += _file_stages(read_ms, write_ms)
+    entries += _file_stages(wall_ms, read_ms, write_ms)
     return RunReport(entries)
 
 
 def _cmd_skeleton(args) -> RunReport:
     path, read_ms = _timed(read_path, args.input)
+    digest = _digest(path)
     t0 = time.perf_counter()
     skeleton = step_skeleton(path, args.level)
     wall_ms = (time.perf_counter() - t0) * 1e3
     _, write_ms = _timed(write_path, skeleton, args.out)
     entries = [("command", "skeleton"), ("input", args.input)]
-    entries += _digest(path)
+    entries += digest
     entries += [
         ("c", float(args.level)),
         ("n_breakpoints", skeleton.n),
         ("out", args.out),
-        ("wall_ms", wall_ms),
     ]
-    entries += _file_stages(read_ms, write_ms)
+    entries += _file_stages(wall_ms, read_ms, write_ms)
     return RunReport(entries)
 
 
@@ -239,9 +252,10 @@ def _cmd_gen(args) -> RunReport:
     t0 = time.perf_counter()
     path = generate(spec)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    digest = _digest(path)
     _, write_ms = _timed(write_path, path, args.out)
     entries = [("command", "gen")]
-    entries += _digest(path)
+    entries += digest
     entries += [
         ("kind", spec.kind),
         ("length", spec.length),
@@ -249,8 +263,8 @@ def _cmd_gen(args) -> RunReport:
         ("scale", float(spec.scale)),
     ]
     entries += [(k, float(v)) for k, v in sorted(spec.extra.items())]
-    entries += [("out", args.out), ("wall_ms", wall_ms)]
-    entries += _file_stages(write_ms=write_ms)
+    entries.append(("out", args.out))
+    entries += _file_stages(wall_ms, write_ms=write_ms)
     return RunReport(entries)
 
 
@@ -270,6 +284,7 @@ def _cmd_bench(args) -> RunReport:
         ("dtv", result.dtv),
         ("tv", result.tv),
         ("backend", "numba" if NUMBA_ENABLED else "python"),
+        ("codec", codec()),
         ("elapsed_ms", elapsed * 1e3),
         ("samples_per_second", path.n / elapsed if elapsed > 0 else float("inf")),
         ("wall_ms", elapsed * 1e3),

@@ -16,12 +16,13 @@ with that property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._scan import full_scan
-from .path_model import SampledPath, _frozen, level_value, total_variation
+from .path_model import PathError, SampledPath, _frozen, level_value, total_variation
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +55,17 @@ class ApproximationResult:
 
 
 def lazy_approximation(path: SampledPath, c) -> ApproximationResult:
-    """Flattest path staying within ``c/2`` of the input everywhere."""
+    """Flattest path staying within ``c/2`` of the input everywhere.
+
+    Raises PathError ``band-overflow`` when that path passes float64.
+    """
     c = level_value(c)
     scan = full_scan(path.values, c)
     approx = SampledPath(path.times, _frozen(scan.approx))
     jordan = JordanPair(_frozen(scan.up), _frozen(scan.down))
     sup_error = float(np.max(np.abs(scan.approx - path.values)))
+    if not math.isfinite(sup_error):  # within c/2 of the values unless it overflowed
+        raise PathError("band-overflow", "the band c/2 around the values overflows float64")
     return ApproximationResult(
         approximation=approx,
         jordan=jordan,

@@ -8,6 +8,7 @@ this package is exact finite arithmetic on these samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ class PathError(ValueError):
     Codes used across the package: ``empty-path``, ``length-mismatch``,
     ``non-finite``, ``times-not-increasing``, ``value-span-overflow``,
     ``tv-overflow`` (a truncated variation total overflows float64),
+    ``band-overflow`` (the band ``c/2`` around a value passes float64),
     ``outside-domain``, ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
     ``stale-decomposition``, ``unknown-generator``, ``bad-generator-spec``.
     """
@@ -118,9 +120,18 @@ def evaluate(path: SampledPath, t: float) -> float:
     return float(path.values[i])
 
 
+def checked_total(total: float) -> float:
+    """``total`` if it is finite, else PathError ``tv-overflow``."""
+    if not math.isfinite(total):
+        raise PathError("tv-overflow", "the truncated variation overflows float64")
+    return total
+
+
 def total_variation(path: SampledPath) -> float:
-    """Sum of absolute increments over the samples."""
-    return float(np.sum(np.abs(np.diff(path.values))))
+    """Sum of absolute increments over the samples; PathError ``tv-overflow``
+    when the sum passes float64."""
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        return checked_total(float(np.sum(np.abs(np.diff(path.values)))))
 
 
 def osc_norm(path: SampledPath) -> float:

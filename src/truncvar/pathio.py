@@ -7,35 +7,40 @@ round-trip precision (``repr``), so a write/read cycle reproduces the
 exact float64 bits. Rows must already be time-sorted; unsorted input is
 rejected rather than silently reordered, to surface data bugs upstream.
 
-Both directions stream. ``read_path`` hands the lines to numpy's C reader
-(``np.loadtxt``) a block at a time; on any parse failure, or when the rows
-do not form n >= 1 pairs, it reruns the file through the line-by-line
-parser ``_parse_lines``, which defines what a path file may hold and which
-line is wrong. Lines are split as that parser splits them
-(``str.splitlines``), and numpy converts each field with
-``PyOS_string_to_double``, as ``float`` does, but without ``float``'s
-extras (underscores, non-ASCII digits), which make the fast route fail
-over. So the fast route accepts a subset of what the parser accepts, with
-the same bits. ``write_columns`` is the one writer: it formats blocks of
-``_BLOCK_ROWS`` rows with ``repr``, byte-identical to writing
-``format_number`` row by row.
+Each direction has two routes: the native codec (``_native.cpp``, C++17
+``<charconv>``), and a Python route that is the reference for it. The
+codec is compiled with the system C++ compiler the first time a file is
+read or written and cached in the package's ``__pycache__``; without a
+compiler, a writable cache or a library that loads, every call takes the
+Python route (``codec()`` says which one is in use).
+
+``read_path`` reads the whole file and hands it to the native row parser,
+which accepts a strict subset of path files (ASCII decimal numbers, blanks
+around fields, ``\\n`` or ``\\r\\n`` line ends) and gives ``float``'s bits on
+it. On anything else, and on a file without rows, it re-reads the text
+with ``_parse_lines``, which defines what a path file may hold (it also
+takes ``1_000``, ``inf`` or non-ASCII digits, as ``float`` does) and names
+the bad line. ``write_columns`` is the one writer: it formats blocks of
+``_BLOCK_ROWS`` rows natively, or with ``repr`` on the Python route, and
+both give the bytes of writing ``format_number`` row by row.
 """
 
 from __future__ import annotations
 
 import codecs
-import itertools
+import ctypes
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .path_model import SampledPath, make_path
 
 PATH_HEADER = "time,value"
 
-_READ_CHARS = 1 << 16  # characters decoded per block of lines
 _BLOCK_ROWS = 1 << 13  # rows formatted per write
+_FIELD_BYTES = 25  # the longest repr of a float64 and its separator
 
 
 class FileFormatError(ValueError):
@@ -52,53 +57,31 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def codec() -> str:
+    """``"native"`` when the native codec is in use, else ``"python"``."""
+    return "python" if _native.codec() is None else "native"
+
+
 def write_path(path: SampledPath, dest) -> None:
     """Write a path file with full round-trip precision."""
     write_columns(dest, PATH_HEADER.split(","), (path.times, path.values))
 
 
-def _line_blocks(fh) -> Iterator[list[str]]:
-    """The lines of a text file in blocks, split as ``str.splitlines`` splits
-    the whole text; the first block holds all of line 1.
-
-    A block ends at a ``\\n``: universal newlines leave no ``\\r`` before it,
-    so no line break straddles the cut. A block may lack an empty line that
-    the whole text has, which holds no row either way.
-    """
-    tail = ""
-    while chunk := fh.read(_READ_CHARS):
-        text = tail + chunk
-        cut = text.rfind("\n")
-        if cut < 0:
-            tail = text
-            continue
-        yield text[:cut].splitlines()
-        tail = text[cut + 1 :]
-    yield tail.splitlines()
-
-
 def read_path(src) -> SampledPath:
     """Parse a path file; raises FileFormatError on malformed rows."""
-    try:
-        with open(src, encoding="utf-8-sig") as fh:
-            blocks = _line_blocks(fh)
-            first = next(blocks)
-            if first and first[0].strip() == PATH_HEADER:
-                del first[0]
-            # a last row of our own: loadtxt warns on input without rows, and
-            # silencing that would change the process-wide warning filters
-            lines = itertools.chain(first, itertools.chain.from_iterable(blocks), ["0,0"])
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)[:-1]
-    except ValueError:  # a field numpy cannot convert, or undecodable bytes
-        rows = None
-    if rows is None or rows.shape[0] == 0 or rows.shape[1] != 2:
-        return _parse_lines(_read_text(src))
-    return make_path(rows[:, 0], rows[:, 1])
-
-
-def _read_text(src) -> str:
-    """The whole file as text; bytes that are not UTF-8 are a format error."""
     data = Path(src).read_bytes()
+    lib = _native.codec()
+    if lib is not None:
+        cap = data.count(b"\n") + 1  # no more rows than lines
+        times, values = np.empty(cap), np.empty(cap)
+        n = lib.parse_rows(data, len(data), times.ctypes.data, values.ctypes.data, cap)
+        if n > 0:
+            return make_path(times[:n], values[:n])
+    return _parse_lines(_decode(data))
+
+
+def _decode(data: bytes) -> str:
+    """A file's bytes as text; bytes that are not UTF-8 are a format error."""
     body = data.removeprefix(codecs.BOM_UTF8)
     try:
         return body.decode("utf-8")
@@ -139,14 +122,32 @@ def _parse_lines(text: str) -> SampledPath:
 def write_columns(dest, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write aligned numeric columns under a comma-separated header.
 
-    Rows run to the end of the shortest column. Each block of rows is
-    formatted from Python floats with ``repr`` and joined in one go, so no
-    more than ``_BLOCK_ROWS`` rows of text exist at once.
+    Rows run to the end of the shortest column and are written a block of
+    ``_BLOCK_ROWS`` rows at a time, so no more than one block of text exists
+    at once.
     """
-    cols = [np.asarray(col, dtype=np.float64) for col in columns]
+    cols = [np.ascontiguousarray(col, dtype=np.float64) for col in columns]
     n = min((col.shape[0] for col in cols), default=0)
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = [map(repr, col[lo : lo + _BLOCK_ROWS].tolist()) for col in cols]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    lib = _native.codec()
+    blocks = _repr_blocks(cols, n) if lib is None else _native_blocks(lib, cols, n)
+    with open(dest, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in blocks:
+            fh.write(block)
+
+
+def _native_blocks(lib, cols, n):
+    """Blocks of rows formatted by the native codec; each is a view of one
+    buffer that the next block overwrites."""
+    pointers = (ctypes.c_void_p * len(cols))(*(col.ctypes.data for col in cols))
+    buf = np.empty(min(n, _BLOCK_ROWS) * len(cols) * _FIELD_BYTES, np.uint8)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        yield buf[: lib.format_rows(pointers, len(cols), lo, hi, buf.ctypes.data)]
+
+
+def _repr_blocks(cols, n):
+    """Blocks of rows formatted with ``repr``: the reference for the codec."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = [map(repr, col[lo : lo + _BLOCK_ROWS].tolist()) for col in cols]
+        yield ("\n".join(map(",".join, zip(*block))) + "\n").encode()

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from truncvar import (
     zero_start_approximation,
 )
 from truncvar._scan import NUMBA_ENABLED
+from truncvar import pathio
 from truncvar.cli import main
 from truncvar.pathio import FileFormatError, read_path, write_path
 
@@ -314,3 +316,39 @@ def test_tv_overflow_exit_4_without_warnings(tmp_path):
     )
     assert run.returncode == 4
     assert run.stderr.startswith("error: tv-overflow:")
+
+
+def test_digest_overflow_exit_4_before_any_output(tmp_path, capsys):
+    # skeleton never scans totals; the input digest's total_variation overflows
+    src, out = tmp_path / "huge.csv", tmp_path / "s.csv"
+    write_path(make_path(np.arange(4000.0), np.tile([0.0, 1e305], 2000)), src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["skeleton", str(src), "-c", "1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: tv-overflow:")
+    assert not out.exists()
+
+
+def test_band_overflow_exit_4(tmp_path, capsys):
+    src, out = tmp_path / "high.csv", tmp_path / "a.csv"
+    write_path(make_path([0, 1], [1.7e308, 1.7e308]), src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["approx", str(src), "-c", "1.7e308", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: band-overflow:")
+    assert not out.exists()
+
+
+def test_reports_name_the_codec(p1_file, tmp_path, capsys):
+    # codec sits just before wall_ms and names the route pathio takes
+    out = str(tmp_path / "out.csv")
+    for argv in (["tv", p1_file, "-c", "0.6"], ["gen", "--kind", "ramp", "--length", "5",
+                 "--out", out], ["bench", "--length", "100"]):
+        assert main(argv) == 0
+        keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        if argv[0] == "bench":
+            assert keys.index("codec") == keys.index("backend") + 1
+        else:
+            assert keys.index("codec") == keys.index("wall_ms") - 1
+    assert main(["tv", p1_file, "-c", "0.6"]) == 0
+    assert report_of(capsys)["codec"] == pathio.codec()

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncvar import (
+    PathError,
     detect_regimes,
     jordan_pair,
     lazy_approximation,
@@ -288,3 +291,19 @@ def test_step_skeleton_matches_loop_on_corpus():
 @settings(deadline=None, max_examples=200)
 def test_step_skeleton_matches_loop_on_signed_zeros(vals, c):
     assert_step_skeleton_exact(path_from(vals), c)
+
+
+def test_band_overflow_is_a_path_error_without_warnings():
+    # every total is 0, but the band c/2 around the values passes float64
+    path = make_path([0, 1], [1.7e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError) as err:
+            lazy_approximation(path, 1.7e308)
+        assert err.value.code == "band-overflow"
+        # the rise/fall pair and the zero-start variant hold no band
+        assert jordan_pair(path, 1.7e308).up_component.tolist() == [0.0, 0.0]
+        assert zero_start_approximation(path, 1.7e308).sup_error == 0.0
+        # the widest band that fits still builds
+        edge = lazy_approximation(path, 2 * (np.finfo(float).max - 1.7e308))
+        assert np.isfinite(edge.approximation.values).all()

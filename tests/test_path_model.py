@@ -183,3 +183,14 @@ def test_value_span_overflow_is_rejected():
         # the widest finite span still builds a path
         wide = make_path([0, 1], [-8e307, 8e307])
     assert osc_norm(wide) == 1.6e308
+
+
+def test_total_variation_overflow_is_a_path_error_without_warnings():
+    # every increment is finite, their sum is not
+    path = make_path(np.arange(4000.0), np.tile([0.0, 1e305], 2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError) as err:
+            total_variation(path)
+        assert err.value.code == "tv-overflow"
+        assert total_variation(make_path([0, 1], [-8e307, 8e307])) == 1.6e308

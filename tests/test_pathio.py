@@ -1,12 +1,14 @@
-"""The streamed CSV layer against its references.
+"""The CSV layer against its references.
 
-``read_path`` (numpy's reader, falling back to the line parser) must give
-the line parser's result on every file: the same arrays bit for bit, or the
-same exception with the same message and line. ``write_columns`` must write
-the bytes of the per-row ``repr`` writer in ``_oracles``.
+``read_path`` (the native row parser, falling back to the line parser) must
+give the line parser's result on every file: the same arrays bit for bit, or
+the same exception with the same message and line. ``write_columns`` must
+write the bytes of the per-row ``repr`` writer in ``_oracles``.
+``test_python_codec`` reruns these tests on the Python route.
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,11 @@ from truncvar.pathio import FileFormatError, read_path, write_columns, write_pat
 from _oracles import write_columns_per_row
 
 BLOCK = pathio._BLOCK_ROWS
+READ_CHARS = 1 << 16  # a read buffer's size: the large files below are many of them
 
 
 def line_parser(src):
-    return pathio._parse_lines(pathio._read_text(src))
+    return pathio._parse_lines(pathio._decode(Path(src).read_bytes()))
 
 
 def outcome(read, src):
@@ -78,6 +81,13 @@ READ_CASES = {
     "unsorted times": b"1,1\n0,2\n",
     "value span overflow": b"0,-1e308\n1,1e308\n",
     "quoted field": b'"0",1\n',
+    "leading plus": b"+1,+2\n",
+    "overflowing exponent": b"0,1e400\n",
+    "underflowing exponent": b"0,1e-400\n1,-1e-400\n",
+    "hex float": b"0x1p3,1\n",
+    "padded fields": b" 1 , 2 \n",
+    "lone CR mid-file": b"0,1\n1,2\r2,3\n",
+    "25-digit mantissas": b"0.1000000000000000000000001,1.999999999999999999999999\n",
 }
 
 
@@ -119,10 +129,10 @@ def test_read_crosses_block_boundaries(tmp_path):
     src = tmp_path / "big.csv"
     write_columns(src, ("time", "value"), (times, values))
     text = src.read_bytes()
-    assert len(text) > 10 * pathio._READ_CHARS
+    assert len(text) > 10 * READ_CHARS
     got = assert_same_outcome(tmp_path, text)
     assert got == (times.tobytes(), values.tobytes())
-    long_first = b"-1." + b"0" * (3 * pathio._READ_CHARS) + b"1,1\n" + text.split(b"\n", 1)[1]
+    long_first = b"-1." + b"0" * (3 * READ_CHARS) + b"1,1\n" + text.split(b"\n", 1)[1]
     assert_same_outcome(tmp_path, long_first)
     kind, _, line = assert_same_outcome(tmp_path, text + b"1e400,x\n")
     assert (kind, line) == (FileFormatError, values.size + 2)
