@@ -31,7 +31,6 @@ from truncvar import (
     truncated_variation,
 )
 from truncvar import _native, pathio
-from truncvar._scan import NUMBA_ENABLED
 from truncvar.pathio import read_path, write_columns, write_path
 
 
@@ -84,10 +83,6 @@ def main():
     if args.io:
         io_table(args.sizes, args.seed)
         return
-
-    print(f"jit kernels: {'numba' if NUMBA_ENABLED else 'python fallback'}")
-    warm = generate(GeneratorSpec("random-walk", 4096, seed=args.seed))
-    truncated_variation(warm, args.level)
 
     check = generate(GeneratorSpec("random-walk", 2000, seed=args.seed))
     fast = truncated_variation(check, args.level)

@@ -10,8 +10,8 @@ switching whenever the path moves at least ``c`` away from the tracked
 extreme. Threshold tests are exact floating-point ``>=`` comparisons, so
 inputs straddling the level by one ulp behave deterministically.
 
-There is one state machine, ``_tv_scan_impl``. Besides the totals it can
-record the index of every trigger, one write per trigger. The triggers cut
+There is one state machine, ``_window_scan``. Besides the totals it
+records the index of every trigger, one append per trigger. The triggers cut
 the samples into windows ``[0, t0), [t0, t1), ..., [tk, n)``: the undecided
 window, then peak and valley windows alternating. Every per-sample array is
 derived from the trigger indices with whole-array numpy, bit-identical to
@@ -61,16 +61,14 @@ same operations on the same operands as the scan; negating a difference is
 exact, so the falls are ``|s[k+1] - s[k]|`` too. A skeleton of one value
 gives 0.0. ``truncated_variation.sweep`` prices levels this way.
 
-Every kernel call checks its totals once: if ``up + down`` overflows,
-``PathError`` ``tv-overflow`` is raised instead of returning ``inf``. The
-totals bound every partial sum the per-sample arrays hold, so those stay
-finite. The band ``extreme -+ c/2`` is not bounded by them: ``full_scan``
+The kernel is plain Python over the samples as Python floats, where a sum
+past float64 gives ``inf`` without a warning. Every kernel call checks its
+totals once: if ``up + down`` overflows, ``PathError`` ``tv-overflow`` is
+raised instead of returning ``inf``. The totals bound every partial sum
+the per-sample arrays hold, so those stay finite. The band ``extreme -+ c/2`` is not bounded by them: ``full_scan``
 computes it without warnings, and ``lazy_approximation`` raises
-``band-overflow`` when it is not finite.
-
-The kernel is compiled with numba when it is importable; the plain-Python
-definition below is both the fallback and the reference semantics.
-Accumulation is left to right, which keeps reruns bit-reproducible.
+``band-overflow`` when it is not finite. Accumulation is left to right,
+which keeps reruns bit-reproducible.
 """
 
 from __future__ import annotations
@@ -81,11 +79,6 @@ import numpy as np
 
 from .path_model import checked_total
 
-try:
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-
 # state / direction codes shared with the public modules
 SEEK = 0
 UP = 1
@@ -95,58 +88,47 @@ DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
 KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
-def _tv_scan_impl(values, c, triggers):
-    """Totals-only scan: returns (up_total, down_total, direction_code, k).
+def _window_scan(values, c):
+    """``(up, down, direction, starts)``: the totals at level c, and the
+    start of every window, ``[0, t0, t1, ...]``, i.e. 0 then the sample
+    index of every trigger, as a list.
 
-    O(1) working memory; this is the fast path for truncated-variation
-    queries. A nonempty ``triggers`` buffer (length at least n) receives the
-    sample index of every trigger in ``triggers[:k]``; with an empty buffer
-    ``k`` is 0.
+    The one state machine. It walks the samples as Python floats, the same
+    IEEE double operations as on numpy scalars, in O(1) working memory
+    besides ``starts``.
     """
-    n = values.shape[0]
-    keep = triggers.shape[0] > 0
-    k = 0
-    run_min = values[0]
-    run_max = values[0]
-    phase = 0
-    direction = 0
-    up_total = 0.0
-    down_total = 0.0
+    c = float(c)
+    samples = memoryview(values)
+    starts = [0]
+    run_min = run_max = samples[0]
+    phase = direction = SEEK
+    up_total = down_total = 0.0
     anchor_min = 0.0  # valley extreme the open peak regime started from
     anchor_max = 0.0  # peak extreme the open valley regime started from
-    for j in range(n):
-        v = values[j]
-        if phase == 0:
+    for j, v in enumerate(samples):
+        if phase == SEEK:
             if v < run_min:
                 run_min = v
             if v > run_max:
                 run_max = v
             if v - run_min >= c:
-                direction = 1
-                phase = 1
+                direction = phase = UP
                 anchor_min = run_min
-                if keep:
-                    triggers[k] = j
-                    k += 1
+                starts.append(j)
                 run_max = v
             elif run_max - v >= c:
-                direction = 2
-                phase = 2
+                direction = phase = DOWN
                 anchor_max = run_max
-                if keep:
-                    triggers[k] = j
-                    k += 1
+                starts.append(j)
                 run_min = v
-        elif phase == 1:
+        elif phase == UP:
             if v > run_max:
                 run_max = v
             if run_max - v >= c:
                 up_total = up_total + ((run_max - anchor_min) - c)
                 anchor_max = run_max
-                if keep:
-                    triggers[k] = j
-                    k += 1
-                phase = 2
+                starts.append(j)
+                phase = DOWN
                 run_min = v
         else:
             if v < run_min:
@@ -154,24 +136,15 @@ def _tv_scan_impl(values, c, triggers):
             if v - run_min >= c:
                 down_total = down_total + ((anchor_max - run_min) - c)
                 anchor_min = run_min
-                if keep:
-                    triggers[k] = j
-                    k += 1
-                phase = 1
+                starts.append(j)
+                phase = UP
                 run_max = v
-    if phase == 1:
+    if phase == UP:
         up_total = up_total + ((run_max - anchor_min) - c)
-    elif phase == 2:
+    elif phase == DOWN:
         down_total = down_total + ((anchor_max - run_min) - c)
-    return up_total, down_total, direction, k
-
-
-if numba is not None:
-    _tv_scan = numba.njit(cache=True)(_tv_scan_impl)
-    NUMBA_ENABLED = True
-else:  # pragma: no cover
-    _tv_scan = _tv_scan_impl
-    NUMBA_ENABLED = False
+    checked_total(up_total + down_total)
+    return up_total, down_total, direction, starts
 
 
 class ScanResult(NamedTuple):
@@ -195,26 +168,7 @@ class Regimes(NamedTuple):
     direction: int
 
 
-_NO_TRIGGERS = np.empty(0, np.int64)
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def _kernel(values, c, triggers):
-    """``_tv_scan`` with float totals that are checked to be finite."""
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        up_total, down_total, direction, k = _tv_scan(values, c, triggers)
-    up_total, down_total = float(up_total), float(down_total)
-    checked_total(up_total + down_total)
-    return up_total, down_total, int(direction), k
-
-
-def _window_scan(values, c):
-    """``(up, down, direction, starts)``: the totals, and the start of every
-    window, ``[0, t0, t1, ...]``, i.e. 0 then the trigger indices."""
-    starts = np.empty(values.shape[0], np.int64)
-    starts[0] = 0
-    up_total, down_total, direction, k = _kernel(values, c, starts[1:])
-    return up_total, down_total, direction, starts[: k + 1]
 
 
 def _window_extremes(values, starts, direction):
@@ -265,10 +219,9 @@ def tv_scan(
 
     The skeleton is None unless ``keep_skeleton`` is set.
     """
-    if not keep_skeleton:
-        return *_kernel(values, c, _NO_TRIGGERS)[:3], None
     up_total, down_total, direction, starts = _window_scan(values, c)
-    return up_total, down_total, direction, _window_extremes(values, starts, direction)
+    skeleton = _window_extremes(values, np.array(starts), direction) if keep_skeleton else None
+    return up_total, down_total, direction, skeleton
 
 
 def _alternate(a, direction):
@@ -281,6 +234,7 @@ def _alternate(a, direction):
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
     _, _, direction, starts = _window_scan(values, c)
+    starts = np.array(starts)
     skeleton = _window_extremes(values, starts, direction)
     up_times, down_times = _alternate(starts[1:], direction)
     return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
@@ -309,6 +263,7 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     n = values.shape[0]
     half = c / 2.0
     _, _, direction, starts = _window_scan(values, c)
+    starts = np.array(starts)
     m = starts.shape[0] - 1  # the number of triggers
     tracks = np.zeros(m + 1, bool)  # the windows that track the maximum
     tracks[0 if direction == DOWN else 1 :: 2] = True

@@ -3,16 +3,17 @@
 Every subcommand prints a flat ``key=value`` report: the command name, a
 digest of the input path, the level(s) used, the operation's results, and
 the wall time of the computation in milliseconds. Commands that read or
-write path files put ``codec`` before that time (``native`` when the C++
-CSV codec is in use, ``python`` when ``pathio`` takes its Python routes;
-``bench`` reports it too) and add ``read_ms`` (when a file was read),
-``write_ms`` (when files were written) and ``peak_rss_kb``, the process's
-peak resident set size from ``getrusage`` (KiB on Linux). Floats are
-rendered with shortest round-trip precision. Exit codes: 0 success, 2 bad
-usage, 3 malformed input data, 4 numeric-domain violation (e.g. a
-non-positive level, or a total or band that overflows float64), 5 I/O
-failure. All behavior is controlled by flags; there is no configuration
-file and no environment lookup.
+write path files put ``codec`` before that time (``bench`` reports it
+too): the codec loaded by the process, ``native`` for the C++ CSV codec and
+``python`` for ``pathio``'s Python routes. A file the native reader refuses
+is parsed by the Python line parser, still under ``codec=native``. They add
+``read_ms`` (when a file was read), ``write_ms`` (when files were written)
+and ``peak_rss_kb``, the process's peak resident set size from
+``getrusage`` (KiB on Linux). Floats are rendered with shortest round-trip
+precision. Exit codes: 0 success, 2 bad usage, 3 malformed input data, 4
+numeric-domain violation (e.g. a non-positive level, or a total or band
+that overflows float64), 5 I/O failure. All behavior is controlled by
+flags; there is no configuration file and no environment lookup.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import NUMBA_ENABLED
 from .optimal_approx import lazy_approximation, step_skeleton, zero_start_approximation
 from .path_model import PathError, SampledPath, osc_norm, total_variation
 from .pathio import (
@@ -108,8 +108,12 @@ def _parse_levels(spec: str) -> np.ndarray:
         raise PathError("bad-level-grid", "grid bounds must be finite")
     if lo <= 0 or step <= 0 or hi < lo:
         raise PathError("bad-level-grid", "need 0 < lo <= hi and step > 0")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    try:
+        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        return lo + step * np.arange(count)
+    except (OverflowError, ValueError, MemoryError):
+        # (hi - lo) / step past float64, or more levels than numpy can allocate
+        raise PathError("bad-level-grid", f"too many levels in {spec!r}") from None
 
 
 def _cmd_tv(args) -> RunReport:
@@ -271,8 +275,6 @@ def _cmd_gen(args) -> RunReport:
 def _cmd_bench(args) -> RunReport:
     spec = GeneratorSpec(kind="random-walk", length=args.length, seed=args.seed)
     path = generate(spec)
-    # warm pass on a prefix so jit compilation stays out of the timing
-    truncated_variation(SampledPath(path.times[:64], path.values[:64]), args.level)
     t0 = time.perf_counter()
     result = truncated_variation(path, args.level)
     elapsed = time.perf_counter() - t0
@@ -283,7 +285,7 @@ def _cmd_bench(args) -> RunReport:
         ("utv", result.utv),
         ("dtv", result.dtv),
         ("tv", result.tv),
-        ("backend", "numba" if NUMBA_ENABLED else "python"),
+        ("backend", "python"),
         ("codec", codec()),
         ("elapsed_ms", elapsed * 1e3),
         ("samples_per_second", path.n / elapsed if elapsed > 0 else float("inf")),

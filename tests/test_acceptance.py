@@ -220,7 +220,7 @@ def test_criterion_6_sweep_shape():
 def test_criterion_7_linear_scaling():
     sizes = [10**5, 10**6, 10**7]
     warm = generate(GeneratorSpec("random-walk", 4096, seed=0))
-    truncated_variation(warm, 1.0)  # jit warm-up stays out of the timing
+    truncated_variation(warm, 1.0)  # warm-up stays out of the timing
     times = []
     for n in sizes:
         path = generate(GeneratorSpec("random-walk", n, seed=0))

@@ -16,7 +16,6 @@ from truncvar import (
     truncated_variation,
     zero_start_approximation,
 )
-from truncvar._scan import NUMBA_ENABLED
 from truncvar import pathio
 from truncvar.cli import main
 from truncvar.pathio import FileFormatError, read_path, write_path
@@ -214,7 +213,7 @@ class TestBenchCommand:
         rep = report_of(capsys)
         assert float(rep["samples_per_second"]) > 0
         assert rep["n"] == "20000"
-        assert rep["backend"] == ("numba" if NUMBA_ENABLED else "python")
+        assert rep["backend"] == "python"
 
 
 class TestExitCodes:
@@ -238,6 +237,13 @@ class TestExitCodes:
     def test_bad_level_grid_exit_4(self, p1_file, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert main(["sweep", p1_file, "--levels", "ugh", "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("grid", ["1e-300:1:1e-300", "1e-300:1e300:1e-300"])
+    def test_level_grid_too_large_exit_4(self, p1_file, tmp_path, capsys, grid):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", p1_file, "--levels", grid, "--out", str(out)]) == 4
+        assert "bad-level-grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_usage_exit_2(self, capsys):
         assert main(["tv"]) == 2
