@@ -24,10 +24,10 @@ stepping the scan through the samples:
   earlier value, as the scan's strict ``<``/``>`` updates keep the first
   occurrence (this decides the sign of a ``+-0.0`` extreme).
 - The skeleton (below), ``lows`` and ``highs`` are the windows' extremes:
-  ``full_scan`` reads them off the running extreme, ``tv_scan`` and
-  ``regime_scan`` reduce each window with ``minimum/maximum.reduceat`` and,
-  if the samples hold a ``-0.0``, give a zero extreme the sign of the
-  window's first zero.
+  ``full_scan`` reads the anchors it needs off the running extreme,
+  ``tv_scan`` and ``regime_scan`` reduce each window with
+  ``minimum/maximum.reduceat`` and, if the samples hold a ``-0.0``, give a
+  zero extreme the sign of the window's first zero.
 - ``approx``, ``up`` and ``down`` apply the scan's own floating-point
   operations element by element, ``extreme -+ c/2`` and
   ``closed + ((extreme - anchor) - c)``; ``closed``, the sum over the
@@ -151,13 +151,6 @@ class ScanResult(NamedTuple):
     approx: np.ndarray
     up: np.ndarray
     down: np.ndarray
-    kind: np.ndarray
-    extreme: np.ndarray
-    up_times: np.ndarray
-    down_times: np.ndarray
-    lows: np.ndarray
-    highs: np.ndarray
-    direction: int
 
 
 class Regimes(NamedTuple):
@@ -252,13 +245,13 @@ def _closed_sums(later, earlier, closed, c):
 
 
 def full_scan(values: np.ndarray, c: float) -> ScanResult:
-    """Per-sample band approximation, rise/fall pair, window kind and extreme.
+    """Per-sample band approximation and rise/fall pair.
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
-    nondecreasing components, ``kind``/``extreme`` tag each sample with its
-    window state and running extreme. Temporaries are freed as soon as they
-    are used, so the peak stays near the size of the outputs.
+    nondecreasing components. The window kind and running extreme of each
+    sample are temporaries here (``regime_detector`` exposes them), freed
+    as soon as they are used, so the peak stays near the size of the outputs.
     """
     n = values.shape[0]
     half = c / 2.0
@@ -275,7 +268,6 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     skel[1:-1] = extreme[triggers - 1]
     skel[-1] = extreme[-1]
     seek_end = triggers[0] if m else n
-    up_times, down_times = _alternate(triggers, direction)
     del starts, triggers
 
     peaks = tracks[1:m]
@@ -285,13 +277,13 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     del win
     peak = kind == UP
     valley = kind == DOWN
+    del kind
     np.subtract(extreme, diff, out=diff, where=peak)
     np.subtract(diff, extreme, out=diff, where=valley)
     np.subtract(diff, c, out=diff)
     np.add(up, diff, out=up, where=peak)
     np.add(down, diff, out=down, where=valley)
     del diff
-    lows, highs = _alternate(skel[1:], direction)
     # a band past float64 holds +-inf, and lazy_approximation reports it
     with np.errstate(over="ignore"):
         seek = skel[1] - half if direction == DOWN else skel[1] + half
@@ -300,6 +292,4 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
         np.subtract(extreme, half, out=approx, where=peak)
         np.add(extreme, half, out=approx, where=valley)
     approx[:seek_end] = seek
-    return ScanResult(
-        approx, up, down, kind, extreme, up_times, down_times, lows, highs, direction
-    )
+    return ScanResult(approx, up, down)

@@ -2,18 +2,22 @@
 
 Every subcommand prints a flat ``key=value`` report: the command name, a
 digest of the input path, the level(s) used, the operation's results, and
-the wall time of the computation in milliseconds. Commands that read or
-write path files put ``codec`` before that time (``bench`` reports it
-too): the codec loaded by the process, ``native`` for the C++ CSV codec and
-``python`` for ``pathio``'s Python routes. A file the native reader refuses
-is parsed by the Python line parser, still under ``codec=native``. They add
-``read_ms`` (when a file was read), ``write_ms`` (when files were written)
-and ``peak_rss_kb``, the process's peak resident set size from
-``getrusage`` (KiB on Linux). Floats are rendered with shortest round-trip
-precision. Exit codes: 0 success, 2 bad usage, 3 malformed input data, 4
-numeric-domain violation (e.g. a non-positive level, or a total or band
-that overflows float64), 5 I/O failure. All behavior is controlled by
-flags; there is no configuration file and no environment lookup.
+``wall_ms``, the wall time of all of the command's computation in
+milliseconds (the ``--prefix`` curves included, the ``--oracle`` check
+not). Each command computes only what it prints: ``tv --prefix`` reads its
+totals off the curves' last entries, and ``decompose`` builds no band.
+Commands that read or write path files put ``codec`` before ``wall_ms``
+(``bench`` reports it too): the codec loaded by the process, ``native`` for
+the C++ CSV codec and ``python`` for ``pathio``'s Python routes. A file the
+native reader refuses is parsed by the Python line parser, still under
+``codec=native``. They add ``read_ms`` (when a file was read),
+``write_ms`` (when files were written) and ``peak_rss_kb``, the process's
+peak resident set size from ``getrusage`` (KiB on Linux). Floats are
+rendered with shortest round-trip precision. Exit codes: 0 success, 2 bad
+usage, 3 malformed input data, 4 numeric-domain violation (e.g. a
+non-positive level, a total that overflows float64, or, from ``approx``, a
+band that does), 5 I/O failure. All behavior is controlled by flags; there
+is no configuration file and no environment lookup.
 """
 
 from __future__ import annotations
@@ -22,11 +26,15 @@ import argparse
 import resource
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .optimal_approx import lazy_approximation, step_skeleton, zero_start_approximation
+from .optimal_approx import (
+    jordan_pair,
+    lazy_approximation,
+    step_skeleton,
+    zero_start_approximation,
+)
 from .path_model import PathError, SampledPath, osc_norm, total_variation
 from .pathio import (
     FileFormatError,
@@ -45,7 +53,6 @@ from .truncated_variation import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_DOMAIN = 4
 EXIT_IO = 5
@@ -53,19 +60,8 @@ EXIT_IO = 5
 # PathError codes that indicate broken input data rather than a bad number
 _DATA_CODES = {"empty-path", "length-mismatch", "non-finite", "times-not-increasing"}
 
-
-@dataclass
-class RunReport:
-    """Ordered key=value report for one command invocation."""
-
-    entries: list[tuple[str, object]]
-
-    def lines(self):
-        for key, value in self.entries:
-            if isinstance(value, float):
-                yield f"{key}={format_number(value)}"
-            else:
-                yield f"{key}={value}"
+# the generator's optional knobs: GeneratorSpec.extra keys, and gen's flags
+_GEN_EXTRA = ("jump_prob", "jump_scale", "target_level", "amplitude_ratio")
 
 
 def _digest(path: SampledPath) -> list[tuple[str, object]]:
@@ -86,6 +82,12 @@ def _timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, (time.perf_counter() - t0) * 1e3
+
+
+def _read(args):
+    """``(path, report head, read ms)`` for a command that reads ``args.input``."""
+    path, read_ms = _timed(read_path, args.input)
+    return path, [("command", args.cmd), ("input", args.input), *_digest(path)], read_ms
 
 
 def _file_stages(wall_ms, read_ms=None, write_ms=None) -> list[tuple[str, object]]:
@@ -116,150 +118,91 @@ def _parse_levels(spec: str) -> np.ndarray:
         raise PathError("bad-level-grid", f"too many levels in {spec!r}") from None
 
 
-def _cmd_tv(args) -> RunReport:
-    path, read_ms = _timed(read_path, args.input)
-    digest = _digest(path)
-    t0 = time.perf_counter()
-    result = truncated_variation(path, args.level)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    entries = [("command", "tv"), ("input", args.input)]
-    entries += digest
-    entries.append(("c", float(args.level)))
-    entries += [("utv", result.utv), ("dtv", result.dtv), ("tv", result.tv)]
+def _cmd_tv(args):
+    path, entries, read_ms = _read(args)
+    write_ms = None
+    if args.prefix is None:
+        result, wall_ms = _timed(truncated_variation, path, args.level)
+        totals = (result.utv, result.dtv, result.tv)
+    else:  # the curves end on the totals: one scan gives both
+        curves, wall_ms = _timed(prefix_curves, path, args.level)
+        totals = tuple(float(curve[-1]) for curve in curves)
+    entries += [("c", float(args.level)), *zip(("utv", "dtv", "tv"), totals)]
     if args.oracle:
         ref = oracle_truncated_variation(path, args.level)
-        disc = max(
-            abs(result.utv - ref.utv),
-            abs(result.dtv - ref.dtv),
-            abs(result.tv - ref.tv),
-        )
-        entries += [
-            ("oracle_utv", ref.utv),
-            ("oracle_dtv", ref.dtv),
-            ("oracle_tv", ref.tv),
-            ("oracle_discrepancy", disc),
-        ]
-    write_ms = None
+        ref_totals = (ref.utv, ref.dtv, ref.tv)
+        entries += zip(("oracle_utv", "oracle_dtv", "oracle_tv"), ref_totals)
+        disc = max(abs(a - b) for a, b in zip(totals, ref_totals))
+        entries.append(("oracle_discrepancy", disc))
     if args.prefix is not None:
-        up, down, tv = prefix_curves(path, args.level)
-        columns = (path.times, up, down, tv)
+        columns = (path.times, *curves)
         _, write_ms = _timed(write_columns, args.prefix, ("time", "utv", "dtv", "tv"), columns)
         entries.append(("prefix_file", args.prefix))
-    entries += _file_stages(wall_ms, read_ms, write_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, read_ms, write_ms)
 
 
-def _cmd_approx(args) -> RunReport:
-    path, read_ms = _timed(read_path, args.input)
-    digest = _digest(path)
-    t0 = time.perf_counter()
-    if args.zero_start:
-        result = zero_start_approximation(path, args.level)
-    else:
-        result = lazy_approximation(path, args.level)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+def _cmd_approx(args):
+    path, entries, read_ms = _read(args)
+    method = zero_start_approximation if args.zero_start else lazy_approximation
+    result, wall_ms = _timed(method, path, args.level)
     _, write_ms = _timed(write_path, result.approximation, args.out)
-    entries = [("command", "approx"), ("input", args.input)]
-    entries += digest
     entries += [
         ("c", float(args.level)),
-        ("zero_start", int(bool(args.zero_start))),
+        ("zero_start", int(args.zero_start)),
         ("achieved_tv", result.achieved_tv),
         ("sup_error", result.sup_error),
         ("out", args.out),
     ]
-    entries += _file_stages(wall_ms, read_ms, write_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, read_ms, write_ms)
 
 
-def _cmd_decompose(args) -> RunReport:
-    path, read_ms = _timed(read_path, args.input)
-    digest = _digest(path)
-    t0 = time.perf_counter()
-    result = lazy_approximation(path, args.level)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    up = SampledPath(path.times, result.jordan.up_component)
-    down = SampledPath(path.times, result.jordan.down_component)
-    _, up_ms = _timed(write_path, up, args.out_up)
-    _, down_ms = _timed(write_path, down, args.out_down)
-    entries = [("command", "decompose"), ("input", args.input)]
-    entries += digest
+def _cmd_decompose(args):
+    path, entries, read_ms = _read(args)
+    pair, wall_ms = _timed(jordan_pair, path, args.level)
+    up, down = pair.up_component, pair.down_component
+    _, up_ms = _timed(write_path, SampledPath(path.times, up), args.out_up)
+    _, down_ms = _timed(write_path, SampledPath(path.times, down), args.out_down)
     entries += [
         ("c", float(args.level)),
-        ("utv", float(result.jordan.up_component[-1])),
-        ("dtv", float(result.jordan.down_component[-1])),
+        ("utv", float(up[-1])),
+        ("dtv", float(down[-1])),
         ("out_up", args.out_up),
         ("out_down", args.out_down),
     ]
-    entries += _file_stages(wall_ms, read_ms, up_ms + down_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, read_ms, up_ms + down_ms)
 
 
-def _cmd_sweep(args) -> RunReport:
-    path, read_ms = _timed(read_path, args.input)
-    digest = _digest(path)
+def _cmd_sweep(args):
+    path, entries, read_ms = _read(args)
     levels = _parse_levels(args.levels)
-    t0 = time.perf_counter()
-    curve = sweep(path, levels)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    curve, wall_ms = _timed(sweep, path, levels)
     _, write_ms = _timed(write_columns, args.out, ("c", "tv"), (curve.levels, curve.tv_values))
-    entries = [("command", "sweep"), ("input", args.input)]
-    entries += digest
     entries += [
         ("levels", args.levels),
         ("n_levels", int(curve.levels.size)),
         ("out", args.out),
     ]
-    entries += _file_stages(wall_ms, read_ms, write_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, read_ms, write_ms)
 
 
-def _cmd_skeleton(args) -> RunReport:
-    path, read_ms = _timed(read_path, args.input)
-    digest = _digest(path)
-    t0 = time.perf_counter()
-    skeleton = step_skeleton(path, args.level)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+def _cmd_skeleton(args):
+    path, entries, read_ms = _read(args)
+    skeleton, wall_ms = _timed(step_skeleton, path, args.level)
     _, write_ms = _timed(write_path, skeleton, args.out)
-    entries = [("command", "skeleton"), ("input", args.input)]
-    entries += digest
     entries += [
         ("c", float(args.level)),
         ("n_breakpoints", skeleton.n),
         ("out", args.out),
     ]
-    entries += _file_stages(wall_ms, read_ms, write_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, read_ms, write_ms)
 
 
-def _spec_from_args(args) -> GeneratorSpec:
-    extra = {}
-    if args.jump_prob is not None:
-        extra["jump_prob"] = args.jump_prob
-    if args.jump_scale is not None:
-        extra["jump_scale"] = args.jump_scale
-    if args.target_level is not None:
-        extra["target_level"] = args.target_level
-    if args.amplitude_ratio is not None:
-        extra["amplitude_ratio"] = args.amplitude_ratio
-    return GeneratorSpec(
-        kind=args.kind,
-        length=args.length,
-        seed=args.seed,
-        scale=args.scale,
-        extra=extra,
-    )
-
-
-def _cmd_gen(args) -> RunReport:
-    spec = _spec_from_args(args)
-    t0 = time.perf_counter()
-    path = generate(spec)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    digest = _digest(path)
+def _cmd_gen(args):
+    extra = {key: getattr(args, key) for key in _GEN_EXTRA if getattr(args, key) is not None}
+    spec = GeneratorSpec(args.kind, args.length, seed=args.seed, scale=args.scale, extra=extra)
+    path, wall_ms = _timed(generate, spec)
+    entries = [("command", "gen"), *_digest(path)]
     _, write_ms = _timed(write_path, path, args.out)
-    entries = [("command", "gen")]
-    entries += digest
     entries += [
         ("kind", spec.kind),
         ("length", spec.length),
@@ -268,30 +211,25 @@ def _cmd_gen(args) -> RunReport:
     ]
     entries += [(k, float(v)) for k, v in sorted(spec.extra.items())]
     entries.append(("out", args.out))
-    entries += _file_stages(wall_ms, write_ms=write_ms)
-    return RunReport(entries)
+    return entries + _file_stages(wall_ms, write_ms=write_ms)
 
 
-def _cmd_bench(args) -> RunReport:
-    spec = GeneratorSpec(kind="random-walk", length=args.length, seed=args.seed)
-    path = generate(spec)
-    t0 = time.perf_counter()
-    result = truncated_variation(path, args.level)
-    elapsed = time.perf_counter() - t0
-    entries = [("command", "bench")]
-    entries += _digest(path)
-    entries += [
+def _cmd_bench(args):
+    path = generate(GeneratorSpec(kind="random-walk", length=args.length, seed=args.seed))
+    result, elapsed_ms = _timed(truncated_variation, path, args.level)
+    return [
+        ("command", "bench"),
+        *_digest(path),
         ("c", float(args.level)),
         ("utv", result.utv),
         ("dtv", result.dtv),
         ("tv", result.tv),
         ("backend", "python"),
         ("codec", codec()),
-        ("elapsed_ms", elapsed * 1e3),
-        ("samples_per_second", path.n / elapsed if elapsed > 0 else float("inf")),
-        ("wall_ms", elapsed * 1e3),
+        ("elapsed_ms", elapsed_ms),
+        ("samples_per_second", path.n * 1e3 / elapsed_ms if elapsed_ms > 0 else float("inf")),
+        ("wall_ms", elapsed_ms),
     ]
-    return RunReport(entries)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,26 +238,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Truncated variation toolkit for sampled step functions.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # the input file and the level, shared by the commands that analyze one path
+    at_level = argparse.ArgumentParser(add_help=False)
+    at_level.add_argument("input", help="path file (time,value rows)")
+    at_level.add_argument("-c", "--level", type=float, required=True, help="level c > 0")
 
-    tv = sub.add_parser("tv", help="truncated variation at one level")
-    tv.add_argument("input", help="path file (time,value rows)")
-    tv.add_argument("-c", "--level", type=float, required=True, help="level c > 0")
+    tv = sub.add_parser("tv", parents=[at_level], help="truncated variation at one level")
     tv.add_argument("--oracle", action="store_true", help="also run the quadratic oracle")
     tv.add_argument("--prefix", metavar="FILE", help="write per-sample curves to FILE")
     tv.set_defaults(handler=_cmd_tv)
 
-    approx = sub.add_parser("approx", help="minimal-variation band approximation")
-    approx.add_argument("input")
-    approx.add_argument("-c", "--level", type=float, required=True)
+    approx = sub.add_parser(
+        "approx", parents=[at_level], help="minimal-variation band approximation"
+    )
     approx.add_argument("--out", required=True, help="output path file")
     approx.add_argument(
         "--zero-start", action="store_true", help="emit the zero-anchored variant"
     )
     approx.set_defaults(handler=_cmd_approx)
 
-    dec = sub.add_parser("decompose", help="nondecreasing rise/fall components")
-    dec.add_argument("input")
-    dec.add_argument("-c", "--level", type=float, required=True)
+    dec = sub.add_parser(
+        "decompose", parents=[at_level], help="nondecreasing rise/fall components"
+    )
     dec.add_argument("--out-up", required=True)
     dec.add_argument("--out-down", required=True)
     dec.set_defaults(handler=_cmd_decompose)
@@ -330,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output c,tv file")
     sw.set_defaults(handler=_cmd_sweep)
 
-    sk = sub.add_parser("skeleton", help="greedy coarse resampling within c/2")
-    sk.add_argument("input")
-    sk.add_argument("-c", "--level", type=float, required=True)
+    sk = sub.add_parser(
+        "skeleton", parents=[at_level], help="greedy coarse resampling within c/2"
+    )
     sk.add_argument("--out", required=True)
     sk.set_defaults(handler=_cmd_skeleton)
 
@@ -341,10 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--length", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--jump-prob", type=float, default=None)
-    gen.add_argument("--jump-scale", type=float, default=None)
-    gen.add_argument("--target-level", type=float, default=None)
-    gen.add_argument("--amplitude-ratio", type=float, default=None)
+    for key in _GEN_EXTRA:
+        gen.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen)
 
@@ -363,7 +301,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        report = args.handler(args)
+        entries = args.handler(args)
     except FileFormatError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -376,6 +314,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    for line in report.lines():
-        print(line)
+    for key, value in entries:
+        print(f"{key}={format_number(value) if isinstance(value, float) else value}")
     return EXIT_OK

@@ -71,15 +71,9 @@ class Level:
 
 
 def level_value(c) -> float:
-    """Validate a level given as a :class:`Level` or a bare number."""
-    if isinstance(c, Level):
-        return float(c.c)
-    try:
-        cf = float(c)
-    except (TypeError, ValueError):
-        raise PathError("bad-level", f"level must be a real number, got {c!r}") from None
-    Level(cf)
-    return cf
+    """Validate a level given as a :class:`Level` or a bare number, by the
+    rules of :class:`Level`."""
+    return float((c if isinstance(c, Level) else Level(c)).c)
 
 
 def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:

@@ -31,9 +31,7 @@ from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP
 from ._scan import regime_scan, window_samples
 from .path_model import PathError, SampledPath, _frozen, level_value
 
-UP_FIRST = DIRECTION_LABELS[UP]
 DOWN_FIRST = DIRECTION_LABELS[DOWN]
-NO_DIRECTION = DIRECTION_LABELS[SEEK]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +107,8 @@ def running_extremes(
     running maximum in peak windows (and in an undecided window of a
     down-first path) and the running minimum otherwise, restarted at each
     trigger. On ties the earlier sample's value is kept, as the scan keeps
-    it, so the pairs equal ``full_scan``'s ``kind``/``extreme`` bit for bit,
-    the sign of a zero extreme included. One numpy pass over the samples
+    it, so the pairs equal the sample-by-sample scan's bit for bit, the sign
+    of a zero extreme included. One numpy pass over the samples
     computes every window at once; see ``_scan``.
     """
     if decomposition.n != path.n:

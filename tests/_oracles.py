@@ -45,10 +45,11 @@ def full_scan_loop(values, c):
     """Per-sample reference scan: the trigger state machine, stepped sample
     by sample, writing every output array as it goes.
 
-    Returns the fields of ``truncvar._scan.ScanResult`` in order: (approx,
-    up, down, kind, extreme, up_times, down_times, lows, highs, direction).
-    The package derives the same arrays from the trigger indices with
-    numpy; the tests compare the two bit for bit.
+    Returns (approx, up, down, kind, extreme, up_times, down_times, lows,
+    highs, direction). The first three are the fields of
+    ``truncvar._scan.ScanResult``, which the package derives from the
+    trigger indices with numpy; ``detect_regimes`` and ``running_extremes``
+    give the rest. The tests compare the two bit for bit.
     """
     half = c / 2.0
     n = values.shape[0]

@@ -86,6 +86,21 @@ class TestTvCommand:
         rep = report_of(capsys)
         assert float(rep["oracle_discrepancy"]) <= 1e-9
 
+    def test_prefix_totals_come_from_the_curves(self, p1_file, p1, tmp_path, capsys,
+                                                monkeypatch):
+        ref = truncated_variation(p1, 0.6)
+
+        def no_second_scan(*args):
+            raise AssertionError("tv --prefix scans twice")
+
+        monkeypatch.setattr("truncvar.cli.truncated_variation", no_second_scan)
+        out = tmp_path / "prefix.csv"
+        assert main(["tv", p1_file, "-c", "0.6", "--prefix", str(out)]) == 0
+        rep = report_of(capsys)
+        assert (rep["utv"], rep["dtv"], rep["tv"]) == tuple(
+            pathio.format_number(x) for x in (ref.utv, ref.dtv, ref.tv)
+        )
+
     def test_prefix_flag(self, p1_file, p1, tmp_path, capsys):
         out = tmp_path / "prefix.csv"
         assert main(["tv", p1_file, "-c", "0.6", "--prefix", str(out)]) == 0
@@ -345,6 +360,21 @@ def test_band_overflow_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decompose_writes_no_band(tmp_path, capsys):
+    # the band c/2 around these values overflows, the rise/fall pair does not
+    src, up_f, down_f = tmp_path / "high.csv", tmp_path / "up.csv", tmp_path / "down.csv"
+    write_path(make_path([0, 1], [1.7e308, 1.7e308]), src)
+    argv = ["decompose", str(src), "-c", "1.7e308", "--out-up", str(up_f), "--out-down",
+            str(down_f)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rep = report_of(capsys)
+    assert (rep["utv"], rep["dtv"]) == ("0.0", "0.0")
+    for f in (up_f, down_f):
+        assert read_path(f).values.tolist() == [0.0, 0.0]
+
+
 def test_reports_name_the_codec(p1_file, tmp_path, capsys):
     # codec sits just before wall_ms and names the route pathio takes
     out = str(tmp_path / "out.csv")
@@ -358,3 +388,63 @@ def test_reports_name_the_codec(p1_file, tmp_path, capsys):
             assert keys.index("codec") == keys.index("wall_ms") - 1
     assert main(["tv", p1_file, "-c", "0.6"]) == 0
     assert report_of(capsys)["codec"] == pathio.codec()
+
+
+DIGEST_KEYS = ["n", "t_start", "t_end", "osc_norm", "total_variation"]
+READ_WRITE = ["codec", "wall_ms", "read_ms", "write_ms", "peak_rss_kb"]
+
+
+def test_every_report_has_its_exact_key_sequence(p1_file, tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    head = ["command", "input", *DIGEST_KEYS]
+    tv_keys = [*head, "c", "utv", "dtv", "tv"]
+    approx_keys = [*head, "c", "zero_start", "achieved_tv", "sup_error", "out", *READ_WRITE]
+    oracle = ["oracle_utv", "oracle_dtv", "oracle_tv", "oracle_discrepancy"]
+    gen_keys = ["command", *DIGEST_KEYS, "kind", "length", "seed", "scale"]
+    runs = [
+        (["tv", p1_file, "-c", "0.6"], [*tv_keys, "codec", "wall_ms", "read_ms", "peak_rss_kb"]),
+        (
+            ["tv", p1_file, "-c", "0.6", "--oracle"],
+            [*tv_keys, *oracle, "codec", "wall_ms", "read_ms", "peak_rss_kb"],
+        ),
+        (["tv", p1_file, "-c", "0.6", "--prefix", out], [*tv_keys, "prefix_file", *READ_WRITE]),
+        (["approx", p1_file, "-c", "0.6", "--out", out], approx_keys),
+        (["approx", p1_file, "-c", "0.6", "--out", out, "--zero-start"], approx_keys),
+        (
+            ["decompose", p1_file, "-c", "0.6", "--out-up", out, "--out-down", out + "2"],
+            [*head, "c", "utv", "dtv", "out_up", "out_down", *READ_WRITE],
+        ),
+        (
+            ["sweep", p1_file, "--levels", "0.5:1.5:0.5", "--out", out],
+            [*head, "levels", "n_levels", "out", *READ_WRITE],
+        ),
+        (
+            ["skeleton", p1_file, "-c", "0.6", "--out", out],
+            [*head, "c", "n_breakpoints", "out", *READ_WRITE],
+        ),
+        (
+            ["gen", "--kind", "ramp", "--length", "5", "--out", out],
+            [*gen_keys, "out", "codec", "wall_ms", "write_ms", "peak_rss_kb"],
+        ),
+        (
+            ["gen", "--kind", "jump-mixture", "--length", "5", "--jump-scale", "3",
+             "--jump-prob", "0.2", "--out", out],
+            [*gen_keys, "jump_prob", "jump_scale", "out", "codec", "wall_ms", "write_ms",
+             "peak_rss_kb"],
+        ),
+        (
+            ["gen", "--kind", "near-threshold-oscillator", "--length", "5", "--target-level",
+             "2", "--amplitude-ratio", "0.5", "--out", out],
+            [*gen_keys, "amplitude_ratio", "target_level", "out", "codec", "wall_ms",
+             "write_ms", "peak_rss_kb"],
+        ),
+        (
+            ["bench", "--length", "100"],
+            ["command", *DIGEST_KEYS, "c", "utv", "dtv", "tv", "backend", "codec", "elapsed_ms",
+             "samples_per_second", "wall_ms"],
+        ),
+    ]
+    for argv, keys in runs:
+        assert main(argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == keys, argv

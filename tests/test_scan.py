@@ -1,8 +1,9 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
 ``full_scan`` derives its arrays from the trigger indices of the totals
-kernel with numpy. Every field must match ``full_scan_loop`` bit for bit
-(floats compared as int64 bit patterns), the sign of a zero included.
+kernel with numpy. Its fields, and the regimes and running extremes of
+``regime_detector``, must match ``full_scan_loop`` bit for bit (floats
+compared as int64 bit patterns), the sign of a zero included.
 """
 
 import numpy as np
@@ -29,26 +30,28 @@ def assert_same_bits(got, ref, name=""):
 
 def assert_scan_exact(vals, c):
     x = np.array(vals, dtype=np.float64)
-    ref = ScanResult(*full_scan_loop(x, c))
+    ref = full_scan_loop(x, c)
     got = full_scan(x, c)
-    for name in ScanResult._fields[:-1]:
-        assert_same_bits(getattr(got, name), getattr(ref, name), name)
-    assert got.direction == ref.direction and type(got.direction) is int
+    for name, ref_field in zip(ScanResult._fields, ref):
+        assert_same_bits(getattr(got, name), ref_field, name)
+    kind, extreme, up_times, down_times, lows, highs, direction = ref[3:]
 
     path = make_path(np.arange(x.size, dtype=float), x)
     dec = detect_regimes(path, c)
-    assert dec.first_direction == DIRECTION_LABELS[ref.direction]
-    for name in ("up_times", "down_times", "lows", "highs"):
-        assert_same_bits(getattr(dec, name), getattr(ref, name), name)
+    assert dec.first_direction == DIRECTION_LABELS[direction]
+    for name, ref_field in zip(
+        ("up_times", "down_times", "lows", "highs"), (up_times, down_times, lows, highs)
+    ):
+        assert_same_bits(getattr(dec, name), ref_field, name)
 
     pairs = running_extremes(path, dec)
-    assert [k for k, _ in pairs] == [KIND_LABELS[int(k)] for k in ref.kind]
+    assert [k for k, _ in pairs] == [KIND_LABELS[int(k)] for k in kind]
     assert all(type(e) is float for _, e in pairs)
-    assert_same_bits(np.array([e for _, e in pairs]), ref.extreme, "running_extremes")
+    assert_same_bits(np.array([e for _, e in pairs]), extreme, "running_extremes")
 
     # the skeleton: regime lows and highs, interleaved
     skeleton = tv_scan(x, c, True)[3]
-    first, second = (ref.highs, ref.lows) if ref.direction == DOWN else (ref.lows, ref.highs)
+    first, second = (highs, lows) if direction == DOWN else (lows, highs)
     inter = np.empty(first.size + second.size)
     inter[0::2], inter[1::2] = first, second
     assert_same_bits(skeleton, inter, "skeleton")

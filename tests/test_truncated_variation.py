@@ -10,6 +10,7 @@ from truncvar import (
     GeneratorSpec,
     PathError,
     TruncatedVariations,
+    detect_regimes,
     lazy_approximation,
     l1_upper_bound,
     make_path,
@@ -22,7 +23,7 @@ from truncvar import (
     total_variation,
     truncated_variation,
 )
-from truncvar._scan import DOWN, full_scan, tv_scan
+from truncvar._scan import tv_scan
 
 from _oracles import exhaustive_truncated, mixed_corpus, persistence_union_find
 
@@ -69,6 +70,17 @@ class TestFastPath:
         with pytest.raises(PathError) as err:
             truncated_variation(p1, -1.0)
         assert err.value.code == "bad-level"
+
+    @pytest.mark.parametrize("c", [True, "0.5", None])
+    def test_level_must_be_a_real_number(self, p1, c):
+        # the rules of Level: a bool or a string is no level, even if float() takes it
+        with pytest.raises(PathError) as err:
+            truncated_variation(p1, c)
+        assert err.value.code == "bad-level"
+
+    @pytest.mark.parametrize("c", [1, np.float32(0.5), np.int64(1)])
+    def test_numeric_levels_are_accepted(self, p1, c):
+        assert truncated_variation(p1, c) == truncated_variation(p1, float(c))
 
     def test_exact_threshold_is_inclusive(self):
         # a move of exactly c is counted, contributing exactly zero
@@ -266,10 +278,10 @@ def assert_skeleton_exact(vals, c0, c):
     assert skeleton.dtype == np.float64
     assert tv_scan(skeleton, c) == tv_scan(x, c)
     # the skeleton is the scan's regime lows and highs, interleaved
-    scan = full_scan(x, c0)
-    lows_first = scan.direction != DOWN
-    assert skeleton[0 if lows_first else 1 :: 2].tolist() == scan.lows.tolist()
-    assert skeleton[1 if lows_first else 0 :: 2].tolist() == scan.highs.tolist()
+    dec = detect_regimes(make_path(np.arange(x.size, dtype=float), x), c0)
+    lows_first = dec.first_direction != "down-first"
+    assert skeleton[0 if lows_first else 1 :: 2].tolist() == dec.lows.tolist()
+    assert skeleton[1 if lows_first else 0 :: 2].tolist() == dec.highs.tolist()
 
 
 @given(ladder_values_st, st.data())
