@@ -1,13 +1,21 @@
-// Native CSV codec for truncvar.pathio, built on first use by _native.py.
+// Native routines for truncvar, built on first use by _native.py.
 //
-// format_rows writes rows of float64 columns in the layout of Python's repr;
-// parse_rows reads the rows of a path file. Both rest on the C++17
-// <charconv> routines: std::to_chars gives the shortest digits that read
-// back to the same double (the digits repr prints), and std::from_chars
-// rounds correctly (as float() does). The Python routes in pathio stay the
-// reference: parse_rows accepts a strict subset of what the line parser
-// accepts, returns the same bits on it, and returns -1 on anything else so
-// that the caller re-reads the file with the line parser.
+// The CSV codec for truncvar.pathio: format_rows writes rows of float64
+// columns in the layout of Python's repr; parse_rows reads the rows of a
+// path file. Both rest on the C++17 <charconv> routines: std::to_chars gives
+// the shortest digits that read back to the same double (the digits repr
+// prints), and std::from_chars rounds correctly (as float() does). The
+// Python routes in pathio stay the reference: parse_rows accepts a strict
+// subset of what the line parser accepts, returns the same bits on it, and
+// returns -1 on anything else so that the caller re-reads the file with the
+// line parser.
+//
+// Two per-sample loops: derive_scan writes the arrays of
+// truncvar._scan.full_scan from the trigger indices of its kernel, and
+// greedy_skeleton the breakpoints of truncvar.optimal_approx.step_skeleton.
+// Each performs the floating-point operations of its numpy or Python
+// reference in the same order, so the results are the same bits; the build
+// turns off contraction of a*b+c into fused multiply-adds to keep it so.
 
 #include <charconv>
 #include <cmath>
@@ -151,6 +159,82 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
         ++n;
     }
     return n;
+}
+
+// The per-sample arrays of the alternating scan at level c. starts holds the
+// k window starts [0, t0, t1, ...] that the trigger kernel returns: window w
+// covers [starts[w], starts[w + 1]) (the last one runs to n), window 0 is the
+// undecided one, and the windows alternate between tracking the maximum and
+// the minimum, window 0 tracking the maximum when first_tracks_max is set.
+// The running extreme of a window keeps the first of tied values (strict
+// comparisons), which decides the sign of a +-0.0 extreme. Per sample:
+//   approx = extreme - c/2 where the maximum is tracked, extreme + c/2 where
+//            the minimum is, and over the undecided window the value its
+//            final extreme gives;
+//   up     = closed_up + ((extreme - anchor) - c) in a peak window (w >= 1,
+//            tracking the maximum), else closed_up; down likewise with
+//            ((anchor - extreme) - c) in a valley window;
+// where the anchor is the final extreme of the window before, and closed_up
+// (closed_down) is the left-to-right sum of the same terms at the final
+// extreme of every peak (valley) window closed before this one (numpy's
+// cumsum also adds a +0.0 for each other window, which changes no partial
+// sum, as none is -0.0). Nothing is decided here: the triggers come in
+// through starts.
+void derive_scan(const double* values, int64_t n, const int64_t* starts, int64_t k,
+                 int first_tracks_max, double c, double* approx, double* up, double* down) {
+    const double half = c / 2.0;
+    double closed_up = 0.0;
+    double closed_down = 0.0;
+    double anchor = 0.0;
+    for (int64_t w = 0; w < k; ++w) {
+        const int64_t lo = starts[w];
+        const int64_t hi = w + 1 < k ? starts[w + 1] : n;
+        const bool tracks_max = (w % 2 == 0) == (first_tracks_max != 0);
+        double extreme = values[lo];
+        if (w == 0) {  // undecided: the band holds the value of the final extreme
+            for (int64_t j = lo; j < hi; ++j) {
+                const double v = values[j];
+                if (tracks_max ? v > extreme : v < extreme) extreme = v;
+                up[j] = 0.0;
+                down[j] = 0.0;
+            }
+            const double seek = tracks_max ? extreme - half : extreme + half;
+            for (int64_t j = lo; j < hi; ++j) approx[j] = seek;
+        } else if (tracks_max) {
+            for (int64_t j = lo; j < hi; ++j) {
+                if (values[j] > extreme) extreme = values[j];
+                approx[j] = extreme - half;
+                up[j] = closed_up + ((extreme - anchor) - c);
+                down[j] = closed_down;
+            }
+            closed_up = closed_up + ((extreme - anchor) - c);
+        } else {
+            for (int64_t j = lo; j < hi; ++j) {
+                if (values[j] < extreme) extreme = values[j];
+                approx[j] = extreme + half;
+                up[j] = closed_up;
+                down[j] = closed_down + ((anchor - extreme) - c);
+            }
+            closed_down = closed_down + ((anchor - extreme) - c);
+        }
+        anchor = extreme;
+    }
+}
+
+// The greedy breakpoints of a step skeleton: index 0, then every index whose
+// value differs from the value last kept by strictly more than half. Writes
+// them to keep, which holds n entries, and returns how many there are.
+int64_t greedy_skeleton(const double* values, int64_t n, double half, int64_t* keep) {
+    int64_t count = 0;
+    keep[count++] = 0;
+    double held = values[0];
+    for (int64_t j = 1; j < n; ++j) {
+        if (std::fabs(values[j] - held) > half) {
+            keep[count++] = j;
+            held = values[j];
+        }
+    }
+    return count;
 }
 
 }  // extern "C"

@@ -1,12 +1,18 @@
-"""Loader for the C++ CSV codec in ``_native.cpp``, built on first use.
+"""Loader for the native library in ``_native.cpp``, built on first use.
 
-``codec()`` returns the loaded library, or None when it cannot be had; the
-callers in ``pathio`` then take their Python routes. The first call
+The library holds the CSV codec of ``pathio`` and two per-sample loops:
+the derivation of ``_scan.full_scan``'s arrays from the trigger indices,
+and the greedy pass of ``optimal_approx.step_skeleton``. ``codec()``
+returns the loaded library, or None when it cannot be had; its callers
+then take their Python routes, which stay the reference. The first call
 compiles the source with the system C++ compiler (``c++``, else ``g++``;
 C++17 ``<charconv>`` with floating-point ``to_chars``/``from_chars``, as in
 GCC 11 or later) into ``__pycache__`` next to this file, under a name keyed
-by the source's CRC-32, so an edited source gets a fresh build and an
-unchanged one is built once per checkout. The build writes to a temporary
+by the machine and the CRC-32 of the source and the compiler flags, so an
+edited source or flag gets a fresh build and an unchanged one is built once
+per checkout. ``-ffp-contract=off`` keeps the compiler from fusing a
+multiply and an add, which would change the bits of the derived arrays
+where fused multiply-add is baseline. The build writes to a temporary
 name and then renames it into place, so processes that build at the same
 time each load a whole library. Nothing is built at import, and compiler
 output is captured, never printed. No compiler, a cache that cannot be
@@ -24,19 +30,18 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_native.cpp")
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILERS = ("c++", "g++")
-_FLAGS = ("-std=c++17", "-O2", "-shared", "-fPIC")
+_FLAGS = ("-std=c++17", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
 
 
 @functools.cache
 def codec():
-    """The codec library, or None when it cannot be built or loaded."""
+    """The native library, or None when it cannot be built or loaded."""
     try:
-        source = _SOURCE.read_bytes()
-        name = f"_native-{os.uname().machine}-{zlib.crc32(source):08x}.so"
-        lib_path = _CACHE / name
+        lib_path = _CACHE / _library_name(_SOURCE.read_bytes(), _FLAGS)
         if not lib_path.is_file() and not _build(lib_path):
             return None
         lib = ctypes.CDLL(str(lib_path))
@@ -46,7 +51,17 @@ def codec():
     lib.format_rows.restype = _I64
     lib.parse_rows.argtypes = (ctypes.c_char_p, _I64, _PTR, _PTR, _I64)
     lib.parse_rows.restype = _I64
+    lib.derive_scan.argtypes = (_PTR, _I64, _PTR, _I64, ctypes.c_int, _F64, _PTR, _PTR, _PTR)
+    lib.derive_scan.restype = None
+    lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)
+    lib.greedy_skeleton.restype = _I64
     return lib
+
+
+def _library_name(source: bytes, flags: tuple[str, ...]) -> str:
+    """The cache name of the library built from ``source`` with ``flags``."""
+    key = zlib.crc32(" ".join(flags).encode(), zlib.crc32(source))
+    return f"_native-{os.uname().machine}-{key:08x}.so"
 
 
 def _build(lib_path: Path) -> bool:

@@ -11,11 +11,14 @@ extreme. Threshold tests are exact floating-point ``>=`` comparisons, so
 inputs straddling the level by one ulp behave deterministically.
 
 There is one state machine, ``_window_scan``. Besides the totals it
-records the index of every trigger, one append per trigger. The triggers cut
-the samples into windows ``[0, t0), [t0, t1), ..., [tk, n)``: the undecided
-window, then peak and valley windows alternating. Every per-sample array is
-derived from the trigger indices with whole-array numpy, bit-identical to
-stepping the scan through the samples:
+records the index of every trigger, one append per trigger to an int64
+buffer. The triggers cut the samples into windows ``[0, t0), [t0, t1), ...,
+[tk, n)``: the undecided window, then peak and valley windows alternating.
+Every per-sample array is derived from the trigger indices, bit-identical to
+stepping the scan through the samples. ``full_scan`` derives its arrays in
+one native loop over the windows (``derive_scan`` in ``_native.cpp``) when
+the native library loads, and otherwise with whole-array numpy, the
+reference route described here:
 
 - The tracked extreme, the running max or min of the window so far, is one
   running maximum over ``window + 1j * (+-value)``: numpy orders complex
@@ -73,10 +76,12 @@ which keeps reruns bit-reproducible.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .path_model import checked_total
 
 # state / direction codes shared with the public modules
@@ -91,7 +96,8 @@ KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 def _window_scan(values, c):
     """``(up, down, direction, starts)``: the totals at level c, and the
     start of every window, ``[0, t0, t1, ...]``, i.e. 0 then the sample
-    index of every trigger, as a list.
+    index of every trigger, as an int64 ``array`` (8 bytes an index, read
+    with ``np.frombuffer``).
 
     The one state machine. It walks the samples as Python floats, the same
     IEEE double operations as on numpy scalars, in O(1) working memory
@@ -99,7 +105,7 @@ def _window_scan(values, c):
     """
     c = float(c)
     samples = memoryview(values)
-    starts = [0]
+    starts = array("q", [0])
     run_min = run_max = samples[0]
     phase = direction = SEEK
     up_total = down_total = 0.0
@@ -213,7 +219,11 @@ def tv_scan(
     The skeleton is None unless ``keep_skeleton`` is set.
     """
     up_total, down_total, direction, starts = _window_scan(values, c)
-    skeleton = _window_extremes(values, np.array(starts), direction) if keep_skeleton else None
+    skeleton = (
+        _window_extremes(values, np.frombuffer(starts, np.int64), direction)
+        if keep_skeleton
+        else None
+    )
     return up_total, down_total, direction, skeleton
 
 
@@ -227,7 +237,7 @@ def _alternate(a, direction):
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
     _, _, direction, starts = _window_scan(values, c)
-    starts = np.array(starts)
+    starts = np.frombuffer(starts, np.int64)
     skeleton = _window_extremes(values, starts, direction)
     up_times, down_times = _alternate(starts[1:], direction)
     return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
@@ -249,14 +259,25 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
-    nondecreasing components. The window kind and running extreme of each
-    sample are temporaries here (``regime_detector`` exposes them), freed
-    as soon as they are used, so the peak stays near the size of the outputs.
+    nondecreasing components. With the native library they come from one
+    loop over the windows; otherwise from numpy, where the window kind and
+    running extreme of each sample are temporaries (``regime_detector``
+    exposes them), freed as soon as they are used, so the peak stays near
+    the size of the outputs.
     """
     n = values.shape[0]
     half = c / 2.0
     _, _, direction, starts = _window_scan(values, c)
-    starts = np.array(starts)
+    starts = np.frombuffer(starts, np.int64)
+    lib = _native.codec()
+    if lib is not None:
+        values = np.ascontiguousarray(values, np.float64)
+        out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
+        lib.derive_scan(
+            values.ctypes.data, n, starts.ctypes.data, starts.shape[0], direction == DOWN, c,
+            *(a.ctypes.data for a in out),
+        )
+        return out
     m = starts.shape[0] - 1  # the number of triggers
     tracks = np.zeros(m + 1, bool)  # the windows that track the maximum
     tracks[0 if direction == DOWN else 1 :: 2] = True

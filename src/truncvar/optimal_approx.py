@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._scan import full_scan
 from .path_model import PathError, SampledPath, _frozen, level_value, total_variation
 
@@ -109,15 +110,21 @@ def step_skeleton(path: SampledPath, c) -> SampledPath:
     """
     c = level_value(c)
     half = c / 2.0
-    vals = path.values.tolist()
-    keep = [0]
-    held = vals[0]
-    for j, v in enumerate(vals):
-        if abs(v - held) > half:
-            keep.append(j)
-            held = v
-    del vals  # ~32 bytes a sample; free it before the index array is built
-    keep = np.array(keep)
+    lib = _native.codec()
+    if lib is not None:  # the same loop in C, into an int64 buffer
+        vals = np.ascontiguousarray(path.values, np.float64)
+        keep = np.empty(vals.shape[0], np.int64)
+        keep = keep[: lib.greedy_skeleton(vals.ctypes.data, keep.shape[0], half, keep.ctypes.data)]
+    else:
+        vals = path.values.tolist()
+        keep = [0]
+        held = vals[0]
+        for j, v in enumerate(vals):
+            if abs(v - held) > half:
+                keep.append(j)
+                held = v
+        del vals  # ~32 bytes a sample; free it before the index array is built
+        keep = np.array(keep)
     times = path.times[keep]
     values = path.values[keep]
     if times[-1] != path.times[-1]:

@@ -12,7 +12,9 @@ Each direction has two routes: the native codec (``_native.cpp``, C++17
 codec is compiled with the system C++ compiler the first time a file is
 read or written and cached in the package's ``__pycache__``; without a
 compiler, a writable cache or a library that loads, every call takes the
-Python route (``codec()`` says which one is in use).
+Python route. ``codec()`` says which one is in use: it names the native
+library, which also carries ``_scan.full_scan``'s per-sample derivation and
+``step_skeleton``'s greedy pass, so the same answer holds for those.
 
 ``read_path`` reads the whole file and hands it to the native row parser,
 which accepts a strict subset of path files (ASCII decimal numbers, blanks
@@ -58,7 +60,8 @@ def format_number(x: float) -> str:
 
 
 def codec() -> str:
-    """``"native"`` when the native codec is in use, else ``"python"``."""
+    """``"native"`` when the native library (the codec and the per-sample
+    loops of ``full_scan`` and ``step_skeleton``) is loaded, else ``"python"``."""
     return "python" if _native.codec() is None else "native"
 
 

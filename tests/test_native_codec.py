@@ -3,7 +3,8 @@
 ``format_rows`` must write ``repr``'s bytes for every float64. ``parse_rows``
 must give ``float``'s bits on the rows it accepts and return -1 on anything
 outside its subset, so that ``read_path`` re-reads with the line parser.
-The loader must fall back to None, silently, when it cannot build.
+The loader must fall back to None, silently, when it cannot build, and must
+name its cached build by the source and the compiler flags.
 """
 
 import math
@@ -251,3 +252,14 @@ def test_build_is_cached_by_source_and_safe_in_parallel(loader, tmp_path):
     # a later first use loads the cached library without building
     loader.setattr(_native, "_build", lambda lib_path: pytest.fail("rebuilt"))
     assert _native.codec() is not None
+
+
+def test_library_name_is_keyed_by_source_and_flags():
+    source = _native._SOURCE.read_bytes()
+    name = _native._library_name(source, _native._FLAGS)
+    assert name == _native._library_name(source, tuple(_native._FLAGS))
+    assert "-ffp-contract=off" in _native._FLAGS  # keeps a*b+c unfused: same bits everywhere
+    other_opt = tuple(f.replace("-O2", "-O3") for f in _native._FLAGS)
+    for flags in (_native._FLAGS[:-1], (*_native._FLAGS, "-g"), other_opt):
+        assert _native._library_name(source, flags) != name
+    assert _native._library_name(source + b"\n", _native._FLAGS) != name

@@ -1,8 +1,10 @@
-"""The CSV tests and the file-command CLI tests on the Python route.
+"""The CSV, scan, step-skeleton and file-command CLI tests on the Python route.
 
-``pathio`` takes its Python routes whenever the native codec cannot be
-built or loaded; the autouse fixture below forces that, so the reference
-reader and writer stay covered wherever the codec builds.
+``pathio``, ``_scan.full_scan`` and ``optimal_approx.step_skeleton`` take
+their Python routes whenever the native library cannot be built or loaded;
+the autouse fixture below forces that, so the reference reader and writer,
+the numpy derivation of the per-sample scan arrays and the greedy Python
+loop stay covered wherever the library builds.
 """
 
 import pytest
@@ -26,7 +28,19 @@ from test_cli import (  # noqa: F401  (collected again here)
     test_reports_name_the_codec,
     test_value_span_overflow_exit_4,
 )
+from test_optimal_approx import (  # noqa: F401  (collected again here)
+    TestSingleSample,
+    test_band_overflow_is_a_path_error_without_warnings,
+    test_step_skeleton_matches_loop_on_corpus,
+    test_step_skeleton_matches_loop_on_signed_zeros,
+)
 from test_pathio import *  # noqa: F401,F403  (collected again here)
+from test_scan import (  # noqa: F401  (collected again here)
+    test_bit_identical_edge_cases,
+    test_bit_identical_on_corpus,
+    test_bit_identical_property,
+    test_non_contiguous_values,
+)
 
 
 @pytest.fixture(autouse=True)
