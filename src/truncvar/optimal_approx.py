@@ -85,10 +85,10 @@ def jordan_pair(path: SampledPath, c) -> JordanPair:
 def zero_start_approximation(path: SampledPath, c) -> ApproximationResult:
     """Rise minus fall component: the optimal increment tracker from 0."""
     c = level_value(c)
-    scan = full_scan(path.values, c)
-    zero_vals = scan.up - scan.down
+    up, down = full_scan(path.values, c)[1:]  # the band is not kept alive
+    zero_vals = up - down
     approx = SampledPath(path.times, _frozen(zero_vals))
-    jordan = JordanPair(_frozen(scan.up), _frozen(scan.down))
+    jordan = JordanPair(_frozen(up), _frozen(down))
     residual = zero_vals - path.values
     sup_error = float(np.max(residual) - np.min(residual))
     return ApproximationResult(

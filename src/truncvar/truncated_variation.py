@@ -197,15 +197,20 @@ def l1_upper_bound(
     or above the floor. The bound is one scan per component at its level,
     summed in component order, so it equals
     ``sum(truncated_variation(f_i, c_i).tv)`` and is attained. Returns the
-    bound and the split. ``grid_points`` must be at least 2 and is otherwise
-    ignored; it is kept so that existing callers keep working.
+    bound and the split. ``grid_points`` must be a number whose ``int`` is at
+    least 2 (else PathError ``bad-level-grid``) and is otherwise ignored; it
+    is kept so that existing callers keep working.
     """
     comps = list(components)
     if not comps:
         raise PathError("empty-path", "need at least one component")
     c = level_value(c)
-    if int(grid_points) < 2:
-        raise PathError("bad-level-grid", "grid_points must be at least 2")
+    try:
+        enough = int(grid_points) >= 2
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        enough = False
+    if not enough:
+        raise PathError("bad-level-grid", "grid_points must be a number of at least 2")
     if any(not np.array_equal(p.times, comps[0].times) for p in comps[1:]):
         raise PathError("domain-mismatch", "components must share one time grid")
     n_comp = len(comps)

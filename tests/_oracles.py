@@ -1,7 +1,8 @@
-"""Shared deterministic corpora and brute-force references for the tests.
+"""Shared deterministic corpora, brute-force references and input helpers
+for the tests.
 
-Everything here is seeded through the package's own counter-based stream,
-so every test run sees byte-identical paths and levels.
+The corpora are seeded through the package's own counter-based stream, so
+every test run sees byte-identical paths and levels.
 """
 
 from __future__ import annotations
@@ -9,8 +10,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from truncvar import GeneratorSpec, generate, osc_norm, uniform_stream
+from truncvar import GeneratorSpec, generate, make_path, osc_norm, uniform_stream
+
+level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+
+
+def path_from(vals):
+    """The path with ``vals`` at times 0, 1, 2, ..."""
+    return make_path(np.arange(len(vals), dtype=float), vals)
 
 
 def exhaustive_truncated(values, c: float, mode: int) -> float:

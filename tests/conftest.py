@@ -1,6 +1,57 @@
+"""Shared fixtures, and the one switch between the native and the Python route.
+
+``pathio``, ``_scan.full_scan`` and ``optimal_approx.step_skeleton`` run in
+the native library whenever ``_native.codec()`` loads it, and take their
+Python routes, which stay the reference, when it returns None. A module or
+class marked ``both_routes`` runs each of its tests on both routes: the
+native item keeps the test's own id, and the Python item adds ``python`` to
+it (``test_x[python]``, ``test_x[python-case]``). On the Python item the
+``route`` fixture patches ``codec`` to return None for that one test, so an
+unmarked test always sees the unpatched library. Where the library does not
+build, the native item skips rather than run the Python route twice.
+"""
+
+import contextlib
+
 import pytest
 
-from truncvar import make_path
+from truncvar import _native, make_path, pathio
+
+NO_LIB = "the native library cannot be built here"
+needs_lib = pytest.mark.skipif(_native.codec() is None, reason=NO_LIB)
+
+
+@contextlib.contextmanager
+def python_route():
+    """Inside this block every caller of ``_native.codec`` takes its Python route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "codec", lambda: None)
+        assert pathio.codec() == "python"
+        yield
+
+
+def pytest_generate_tests(metafunc):
+    if metafunc.definition.get_closest_marker("both_routes"):
+        metafunc.parametrize(
+            "route", ("native", "python"), indirect=True, ids=(pytest.HIDDEN_PARAM, "python")
+        )
+
+
+# Autouse, so that it stays in the fixture closure of a marked test whose
+# signature does not name it (pytest drops a name that ``pytest_generate_tests``
+# only appends). It is not an argument of any ``@given`` test, so hypothesis
+# does not flag it.
+@pytest.fixture(autouse=True)
+def route(request):
+    """The route of a ``both_routes`` item; None, with nothing patched, elsewhere."""
+    name = getattr(request, "param", None)
+    if name == "python":
+        with python_route():
+            yield name
+        return
+    if name == "native" and _native.codec() is None:
+        pytest.skip(NO_LIB)
+    yield name
 
 
 @pytest.fixture

@@ -21,6 +21,10 @@ from truncvar.cli import main
 from truncvar.pathio import FileFormatError, read_path, write_path
 
 
+# The in-process file commands are marked both_routes; a child process
+# started by a test does not see the route patch, so those tests are not.
+
+
 def report_of(capsys):
     out = capsys.readouterr().out
     return dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -33,6 +37,7 @@ def p1_file(tmp_path, p1):
     return str(dest)
 
 
+@pytest.mark.both_routes
 class TestPathIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
         p = generate(GeneratorSpec("random-walk", 500, seed=3))
@@ -58,6 +63,7 @@ class TestPathIO:
             read_path(bad)
 
 
+@pytest.mark.both_routes
 class TestTvCommand:
     def test_basic_report(self, p1_file, p1, capsys):
         assert main(["tv", p1_file, "-c", "0.6"]) == 0
@@ -110,6 +116,7 @@ class TestTvCommand:
         np.testing.assert_allclose(tv_col, [0, 0.4, 0.6, 1.0, 1.4], atol=1e-12)
 
 
+@pytest.mark.both_routes
 class TestApproxCommand:
     def test_writes_band_approximation(self, p1_file, p1, tmp_path, capsys):
         out = tmp_path / "fc.csv"
@@ -130,6 +137,7 @@ class TestApproxCommand:
         assert got.values.tobytes() == ref.values.tobytes()
 
 
+@pytest.mark.both_routes
 class TestDecomposeCommand:
     def test_writes_components(self, p1_file, p1, tmp_path, capsys):
         up_f = tmp_path / "up.csv"
@@ -152,6 +160,7 @@ class TestDecomposeCommand:
         assert read_path(down_f).values.tobytes() == j.down_component.tobytes()
 
 
+@pytest.mark.both_routes
 class TestSweepCommand:
     def test_grid_rows(self, tmp_path, ramp3, capsys):
         src = tmp_path / "ramp.csv"
@@ -166,6 +175,7 @@ class TestSweepCommand:
         np.testing.assert_allclose([t for _, t in got], [1.5, 1.0, 0.5], atol=1e-12)
 
 
+@pytest.mark.both_routes
 class TestSkeletonCommand:
     def test_writes_skeleton(self, tmp_path, capsys):
         p = make_path([0, 1, 2, 3], [0.0, 0.1, 0.2, 1.0])
@@ -178,6 +188,7 @@ class TestSkeletonCommand:
         assert got.values.tobytes() == ref.values.tobytes()
 
 
+@pytest.mark.both_routes
 class TestGenCommand:
     def test_gen_then_tv_round_trip_bit_exact(self, tmp_path, capsys):
         out = tmp_path / "walk.csv"
@@ -231,6 +242,7 @@ class TestBenchCommand:
         assert rep["backend"] == "python"
 
 
+@pytest.mark.both_routes
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["tv", str(tmp_path / "nope.csv"), "-c", "0.5"]) == 5
@@ -287,6 +299,7 @@ def test_module_entry_point_subprocess(p1_file):
     assert missing.returncode == 5
 
 
+@pytest.mark.both_routes
 def test_value_span_overflow_exit_4(tmp_path, capsys):
     src = tmp_path / "wide.csv"
     src.write_text("time,value\n0,-1e308\n1,1e308\n2,-1e308\n")
@@ -294,6 +307,7 @@ def test_value_span_overflow_exit_4(tmp_path, capsys):
     assert "value-span-overflow" in capsys.readouterr().err
 
 
+@pytest.mark.both_routes
 def test_file_commands_report_stage_times_and_peak_rss(p1_file, tmp_path, capsys):
     out = str(tmp_path / "out.csv")
     runs = [
@@ -319,6 +333,7 @@ def test_file_commands_report_stage_times_and_peak_rss(p1_file, tmp_path, capsys
         assert int(rep["peak_rss_kb"]) > 0
 
 
+@pytest.mark.both_routes
 def test_non_utf8_input_exit_3(tmp_path, capsys):
     src = tmp_path / "latin1.csv"
     src.write_bytes(b"time,value\n0,1\n1,\xff2\n")
@@ -339,6 +354,7 @@ def test_tv_overflow_exit_4_without_warnings(tmp_path):
     assert run.stderr.startswith("error: tv-overflow:")
 
 
+@pytest.mark.both_routes
 def test_digest_overflow_exit_4_before_any_output(tmp_path, capsys):
     # skeleton never scans totals; the input digest's total_variation overflows
     src, out = tmp_path / "huge.csv", tmp_path / "s.csv"
@@ -350,6 +366,7 @@ def test_digest_overflow_exit_4_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.both_routes
 def test_band_overflow_exit_4(tmp_path, capsys):
     src, out = tmp_path / "high.csv", tmp_path / "a.csv"
     write_path(make_path([0, 1], [1.7e308, 1.7e308]), src)
@@ -360,6 +377,7 @@ def test_band_overflow_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.both_routes
 def test_decompose_writes_no_band(tmp_path, capsys):
     # the band c/2 around these values overflows, the rise/fall pair does not
     src, up_f, down_f = tmp_path / "high.csv", tmp_path / "up.csv", tmp_path / "down.csv"
@@ -375,6 +393,7 @@ def test_decompose_writes_no_band(tmp_path, capsys):
         assert read_path(f).values.tolist() == [0.0, 0.0]
 
 
+@pytest.mark.both_routes
 def test_reports_name_the_codec(p1_file, tmp_path, capsys):
     # codec sits just before wall_ms and names the route pathio takes
     out = str(tmp_path / "out.csv")
@@ -394,6 +413,7 @@ DIGEST_KEYS = ["n", "t_start", "t_end", "osc_norm", "total_variation"]
 READ_WRITE = ["codec", "wall_ms", "read_ms", "write_ms", "peak_rss_kb"]
 
 
+@pytest.mark.both_routes
 def test_every_report_has_its_exact_key_sequence(p1_file, tmp_path, capsys):
     out = str(tmp_path / "out.csv")
     head = ["command", "input", *DIGEST_KEYS]

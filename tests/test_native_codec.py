@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from truncvar import _native, make_path, pathio
 
+from conftest import needs_lib
+
 LIB = _native.codec()
-needs_lib = pytest.mark.skipif(LIB is None, reason="the native codec cannot be built here")
 
 
 def native_repr(values) -> list[str]:

@@ -21,16 +21,21 @@ from truncvar import (
     zero_start_approximation,
 )
 
-from _oracles import mixed_corpus, monotone_parts, prefix_total_variation, step_skeleton_loop
+from _oracles import (
+    level_st,
+    mixed_corpus,
+    monotone_parts,
+    path_from,
+    prefix_total_variation,
+    step_skeleton_loop,
+)
+
+# full_scan and step_skeleton have a native and a Python route
+pytestmark = pytest.mark.both_routes
 
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=50
 )
-level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
-
-
-def path_from(vals):
-    return make_path(np.arange(len(vals), dtype=float), vals)
 
 
 class TestLazyApproximation:
@@ -107,13 +112,16 @@ class TestStepSkeleton:
         assert np.array_equal(s.times, p1.times)
         assert np.array_equal(s.values, p1.values)
 
-    @given(values_st, level_st)
-    @settings(deadline=None, max_examples=60)
-    def test_skeleton_contract(self, vals, c):
-        p = path_from(vals)
-        s = step_skeleton(p, c)
-        assert sup_distance(p, s) <= c / 2 + 1e-12
-        assert set(s.times.tolist()) <= set(p.times.tolist())
+
+# at module level: a @given method collected on two routes fails hypothesis'
+# differing_executors check, since each item calls it on its own instance
+@given(values_st, level_st)
+@settings(deadline=None, max_examples=60)
+def test_step_skeleton_contract(vals, c):
+    p = path_from(vals)
+    s = step_skeleton(p, c)
+    assert sup_distance(p, s) <= c / 2 + 1e-12
+    assert set(s.times.tolist()) <= set(p.times.tolist())
 
 
 class TestSingleSample:

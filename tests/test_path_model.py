@@ -17,13 +17,11 @@ from truncvar import (
     total_variation,
 )
 
+from _oracles import path_from
+
 values_st = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=40
 )
-
-
-def path_from(vals):
-    return make_path(np.arange(len(vals), dtype=float), vals)
 
 
 class TestMakePath:

@@ -3,8 +3,9 @@
 ``read_path`` (the native row parser, falling back to the line parser) must
 give the line parser's result on every file: the same arrays bit for bit, or
 the same exception with the same message and line. ``write_columns`` must
-write the bytes of the per-row ``repr`` writer in ``_oracles``.
-``test_python_codec`` reruns these tests on the Python route.
+write the bytes of the per-row ``repr`` writer in ``_oracles``. The module
+is marked ``both_routes``: every test runs with the native codec and again
+on the Python route.
 """
 
 import warnings
@@ -19,6 +20,8 @@ from truncvar import PathError, make_path, pathio
 from truncvar.pathio import FileFormatError, read_path, write_columns, write_path
 
 from _oracles import write_columns_per_row
+
+pytestmark = pytest.mark.both_routes
 
 BLOCK = pathio._BLOCK_ROWS
 READ_CHARS = 1 << 16  # a read buffer's size: the large files below are many of them

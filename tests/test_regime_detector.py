@@ -13,16 +13,11 @@ from truncvar import (
     running_extremes,
 )
 
-from _oracles import mixed_corpus
+from _oracles import level_st, mixed_corpus, path_from
 
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=50
 )
-level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
-
-
-def path_from(vals):
-    return make_path(np.arange(len(vals), dtype=float), vals)
 
 
 class TestFirstTimes:

@@ -2,28 +2,23 @@
 
 ``full_scan`` derives its arrays from the trigger indices of the totals
 kernel, in the native library's loop when it loads and with numpy
-otherwise (``test_python_codec.py`` runs these tests again on that route).
-Its fields, and the regimes and running extremes of ``regime_detector``,
-must match ``full_scan_loop`` bit for bit (floats compared as int64 bit
-patterns), the sign of a zero included, and the two routes must match
-each other.
+otherwise. Its fields, and the regimes and running extremes of
+``regime_detector``, must match ``full_scan_loop`` bit for bit (floats
+compared as int64 bit patterns), the sign of a zero included; those tests
+are marked ``both_routes``, so they run on each route. The unmarked
+``test_routes_agree_*`` tests compare the two routes with each other.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncvar import _native, detect_regimes, make_path, running_extremes, step_skeleton
+from truncvar import detect_regimes, make_path, pathio, running_extremes, step_skeleton
 from truncvar._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, ScanResult, full_scan, tv_scan
 
 from _oracles import full_scan_loop, mixed_corpus
-
-needs_lib = pytest.mark.skipif(
-    _native.codec() is None, reason="the native library cannot be built here"
-)
+from conftest import needs_lib, python_route
 
 
 def bits(a):
@@ -66,6 +61,7 @@ def assert_scan_exact(vals, c):
     assert_same_bits(skeleton, inter, "skeleton")
 
 
+@pytest.mark.both_routes
 def test_bit_identical_on_corpus():
     for path, c in mixed_corpus(60, seed=4242, max_len=200):
         assert_scan_exact(path.values, c)
@@ -83,6 +79,7 @@ values_st = st.one_of(
 )
 
 
+@pytest.mark.both_routes
 @given(values_st, st.data())
 @settings(deadline=None, max_examples=300)
 def test_bit_identical_property(vals, data):
@@ -96,6 +93,7 @@ def test_bit_identical_property(vals, data):
     assert_scan_exact(vals, data.draw(levels))
 
 
+@pytest.mark.both_routes
 @pytest.mark.parametrize(
     "vals, c",
     [
@@ -115,6 +113,7 @@ def test_bit_identical_edge_cases(vals, c):
     assert_scan_exact(vals, c)
 
 
+@pytest.mark.both_routes
 def test_non_contiguous_values():
     x = np.array([0.0, 9.0, 1.5, 9.0, -0.0, 9.0, 2.0, 9.0, 0.5, 9.0, 3.0] * 20)
     view = x[::2]  # every other sample: a strided view
@@ -128,8 +127,9 @@ def assert_routes_agree(vals, c):
     and Python routes' bits."""
     x = np.array(vals, dtype=np.float64)
     path = make_path(np.arange(x.size, dtype=float), x)
+    assert pathio.codec() == "native"  # unmarked: nothing patched the library away
     native = full_scan(x, c), step_skeleton(path, c)
-    with mock.patch.object(_native, "codec", lambda: None):
+    with python_route():
         ref = full_scan(x, c), step_skeleton(path, c)
     for name, got, want in zip(ScanResult._fields, native[0], ref[0]):
         assert_same_bits(got, want, name)

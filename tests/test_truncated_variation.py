@@ -25,7 +25,13 @@ from truncvar import (
 )
 from truncvar._scan import tv_scan
 
-from _oracles import exhaustive_truncated, mixed_corpus, persistence_union_find
+from _oracles import (
+    exhaustive_truncated,
+    level_st,
+    mixed_corpus,
+    path_from,
+    persistence_union_find,
+)
 
 # the module, which the package's same-named function hides as an attribute
 tv_module = importlib.import_module("truncvar.truncated_variation")
@@ -33,7 +39,6 @@ tv_module = importlib.import_module("truncvar.truncated_variation")
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=60
 )
-level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 # integer values give ties, plateaus and levels equal to an increment
 ladder_values_st = st.one_of(
     st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
@@ -42,10 +47,6 @@ ladder_values_st = st.one_of(
 small_values_st = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=9
 )
-
-
-def path_from(vals):
-    return make_path(np.arange(len(vals), dtype=float), vals)
 
 
 class TestFastPath:
@@ -115,6 +116,7 @@ class TestOracle:
         assert exhaustive_truncated(ramp3.values, 0.5, +1) == r.utv
 
 
+@pytest.mark.both_routes  # through full_scan
 class TestPrefixCurves:
     def test_golden(self, p1):
         up, down, tv = prefix_curves(p1, 0.6)
@@ -183,6 +185,12 @@ class TestL1UpperBound:
             l1_upper_bound([p1, p3], 0.5)
         assert err.value.code == "domain-mismatch"
 
+    @pytest.mark.parametrize("points", [1, None, float("inf"), "x", float("nan")])
+    def test_bad_grid_points_is_a_level_grid_error(self, p1, points):
+        with pytest.raises(PathError) as err:
+            l1_upper_bound([p1], 0.6, grid_points=points)
+        assert err.value.code == "bad-level-grid"
+
     def test_all_constant_components(self, p3):
         bound, split = l1_upper_bound([p3, p3], 1.0)
         assert bound == 0.0
@@ -239,6 +247,7 @@ def test_superadditive_under_concatenation(vals, c, m):
     )
 
 
+@pytest.mark.both_routes
 @given(values_st, level_st)
 @settings(deadline=None, max_examples=60)
 def test_prefix_curves_nondecreasing(vals, c):
