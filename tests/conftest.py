@@ -2,23 +2,28 @@
 
 ``pathio``, ``_scan.full_scan`` and ``optimal_approx.step_skeleton`` run in
 the native library whenever ``_native.codec()`` loads it, and take their
-Python routes, which stay the reference, when it returns None. A module or
-class marked ``both_routes`` runs each of its tests on both routes: the
-native item keeps the test's own id, and the Python item adds ``python`` to
-it (``test_x[python]``, ``test_x[python-case]``). On the Python item the
-``route`` fixture patches ``codec`` to return None for that one test, so an
-unmarked test always sees the unpatched library. Where the library does not
-build, the native item skips rather than run the Python route twice.
+Python routes, which stay the reference, when it returns None. A module,
+class or function marked ``both_routes`` runs on both routes: in its own
+module on the native library, and again in ``test_python_codec.py``, which
+gathers every marked test with ``both_routes_tests()``, with ``codec``
+patched to return None for that one test. So an unmarked test always sees
+the unpatched library. Where the library does not build, the native items
+skip rather than run the Python route twice.
 """
 
 import contextlib
+import importlib
+from pathlib import Path
 
 import pytest
 
 from truncvar import _native, make_path, pathio
+from truncvar.pathio import write_path
 
 NO_LIB = "the native library cannot be built here"
 needs_lib = pytest.mark.skipif(_native.codec() is None, reason=NO_LIB)
+
+PYTHON_ROUTE_MODULE = "test_python_codec"
 
 
 @contextlib.contextmanager
@@ -30,28 +35,45 @@ def python_route():
         yield
 
 
-def pytest_generate_tests(metafunc):
-    if metafunc.definition.get_closest_marker("both_routes"):
-        metafunc.parametrize(
-            "route", ("native", "python"), indirect=True, ids=(pytest.HIDDEN_PARAM, "python")
-        )
+def _marked(obj):
+    marks = getattr(obj, "pytestmark", [])
+    marks = marks if isinstance(marks, list) else [marks]
+    return any(mark.name == "both_routes" for mark in marks)
 
 
-# Autouse, so that it stays in the fixture closure of a marked test whose
-# signature does not name it (pytest drops a name that ``pytest_generate_tests``
-# only appends). It is not an argument of any ``@given`` test, so hypothesis
-# does not flag it.
+def both_routes_tests():
+    """Every test class and function marked ``both_routes``, by name, from
+    the other test modules (a module's ``pytestmark`` marks all of its tests)."""
+    found = {}
+    for file in sorted(Path(__file__).parent.glob("test_*.py")):
+        if file.stem == PYTHON_ROUTE_MODULE:
+            continue
+        module = importlib.import_module(file.stem)
+        whole = _marked(module)
+        for name, obj in vars(module).items():
+            if not name.startswith(("test", "Test")) or getattr(obj, "__module__", None) != file.stem:
+                continue
+            if whole or _marked(obj):
+                if name in found:
+                    raise NameError(f"{name} is marked both_routes in two modules")
+                found[name] = obj
+    return found
+
+
+# Autouse and function-scoped, so that the patch lasts one test; it is not an
+# argument of any ``@given`` test, so hypothesis does not flag it.
 @pytest.fixture(autouse=True)
 def route(request):
     """The route of a ``both_routes`` item; None, with nothing patched, elsewhere."""
-    name = getattr(request, "param", None)
-    if name == "python":
+    if request.node.get_closest_marker("both_routes") is None:
+        yield None
+    elif request.module.__name__ == PYTHON_ROUTE_MODULE:
         with python_route():
-            yield name
-        return
-    if name == "native" and _native.codec() is None:
-        pytest.skip(NO_LIB)
-    yield name
+            yield "python"
+    else:
+        if _native.codec() is None:
+            pytest.skip(NO_LIB)
+        yield "native"
 
 
 @pytest.fixture
@@ -67,3 +89,10 @@ def p3():
 @pytest.fixture
 def ramp3():
     return make_path([0, 1, 2], [0.0, 1.0, 2.0])
+
+
+@pytest.fixture
+def p1_file(tmp_path, p1):
+    dest = tmp_path / "p1.csv"
+    write_path(p1, dest)
+    return str(dest)

@@ -30,13 +30,6 @@ def report_of(capsys):
     return dict(line.split("=", 1) for line in out.strip().splitlines())
 
 
-@pytest.fixture
-def p1_file(tmp_path, p1):
-    dest = tmp_path / "p1.csv"
-    write_path(p1, dest)
-    return str(dest)
-
-
 @pytest.mark.both_routes
 class TestPathIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
