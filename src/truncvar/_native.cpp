@@ -10,12 +10,13 @@
 // returns -1 on anything else so that the caller re-reads the file with the
 // line parser.
 //
-// Two per-sample loops: derive_scan writes the arrays of
-// truncvar._scan.full_scan from the trigger indices of its kernel, and
-// greedy_skeleton the breakpoints of truncvar.optimal_approx.step_skeleton.
-// Each performs the floating-point operations of its numpy or Python
-// reference in the same order, so the results are the same bits; the build
-// turns off contraction of a*b+c into fused multiply-adds to keep it so.
+// Three per-sample loops: window_scan is the trigger state machine of
+// truncvar._scan.full_scan and regime_scan, derive_scan writes the arrays of
+// full_scan from its trigger indices, and greedy_skeleton the breakpoints of
+// truncvar.optimal_approx.step_skeleton. Each performs the floating-point
+// operations of its numpy or Python reference in the same order, so the
+// results are the same bits; the build turns off contraction of a*b+c into
+// fused multiply-adds to keep it so.
 
 #include <charconv>
 #include <cmath>
@@ -159,6 +160,77 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
         ++n;
     }
     return n;
+}
+
+// The trigger state machine of truncvar._scan._window_scan at level c, step
+// for step: strict running extremes, exact >= threshold tests and left-to-right
+// sums. Writes the window starts [0, t0, t1, ...] into starts; where skeleton
+// is not null, the extreme each window ends on: the anchor at each trigger,
+// then the final tracked extreme (the running minimum if nothing triggered).
+// Writes (up, down, direction) into totals, the direction in _scan's codes
+// below, and returns the window count k. Needs n >= 1; starts and skeleton
+// hold n + 1 entries (a trigger fires at most once per sample), and only the
+// first k are written.
+int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
+                    double* skeleton, double* totals) {
+    enum { SEEK = 0, UP = 1, DOWN = 2 };
+    int64_t k = 0;
+    starts[k++] = 0;
+    double run_min = values[0];
+    double run_max = run_min;
+    int phase = SEEK;
+    int direction = SEEK;
+    double up_total = 0.0;
+    double down_total = 0.0;
+    double anchor_min = 0.0;  // valley extreme the open peak regime started from
+    double anchor_max = 0.0;  // peak extreme the open valley regime started from
+    for (int64_t j = 0; j < n; ++j) {
+        const double v = values[j];
+        if (phase == SEEK) {
+            if (v < run_min) run_min = v;
+            if (v > run_max) run_max = v;
+            if (v - run_min >= c) {
+                direction = phase = UP;
+                anchor_min = run_min;
+                if (skeleton) skeleton[k - 1] = anchor_min;
+                starts[k++] = j;
+                run_max = v;
+            } else if (run_max - v >= c) {
+                direction = phase = DOWN;
+                anchor_max = run_max;
+                if (skeleton) skeleton[k - 1] = anchor_max;
+                starts[k++] = j;
+                run_min = v;
+            }
+        } else if (phase == UP) {
+            if (v > run_max) run_max = v;
+            if (run_max - v >= c) {
+                up_total = up_total + ((run_max - anchor_min) - c);
+                anchor_max = run_max;
+                if (skeleton) skeleton[k - 1] = anchor_max;
+                starts[k++] = j;
+                phase = DOWN;
+                run_min = v;
+            }
+        } else {
+            if (v < run_min) run_min = v;
+            if (v - run_min >= c) {
+                down_total = down_total + ((anchor_max - run_min) - c);
+                anchor_min = run_min;
+                if (skeleton) skeleton[k - 1] = anchor_min;
+                starts[k++] = j;
+                phase = UP;
+                run_max = v;
+            }
+        }
+    }
+    if (phase == UP) up_total = up_total + ((run_max - anchor_min) - c);
+    else if (phase == DOWN) down_total = down_total + ((anchor_max - run_min) - c);
+    if (skeleton) skeleton[k - 1] = phase == UP ? run_max : run_min;
+    totals[0] = up_total;
+    totals[1] = down_total;
+    totals[2] = direction;
+    return k;
 }
 
 // The per-sample arrays of the alternating scan at level c. starts holds the

@@ -1,8 +1,10 @@
 """Loader for the native library in ``_native.cpp``, built on first use.
 
-The library holds the CSV codec of ``pathio`` and two per-sample loops:
-the derivation of ``_scan.full_scan``'s arrays from the trigger indices,
-and the greedy pass of ``optimal_approx.step_skeleton``. ``codec()``
+The library holds the CSV codec of ``pathio`` and three per-sample loops:
+the trigger state machine of ``_scan.full_scan`` and ``_scan.regime_scan``,
+the derivation of ``full_scan``'s arrays from the trigger indices, and the
+greedy pass of ``optimal_approx.step_skeleton``. The totals-only
+``_scan.tv_scan`` keeps the Python trigger kernel. ``codec()``
 returns the loaded library, or None when it cannot be had; its callers
 then take their Python routes, which stay the reference. The first call
 compiles the source with the system C++ compiler (``c++``, else ``g++``;
@@ -51,6 +53,8 @@ def codec():
     lib.format_rows.restype = _I64
     lib.parse_rows.argtypes = (ctypes.c_char_p, _I64, _PTR, _PTR, _I64)
     lib.parse_rows.restype = _I64
+    lib.window_scan.argtypes = (_PTR, _I64, _F64, _PTR, _PTR, _PTR)
+    lib.window_scan.restype = _I64
     lib.derive_scan.argtypes = (_PTR, _I64, _PTR, _I64, ctypes.c_int, _F64, _PTR, _PTR, _PTR)
     lib.derive_scan.restype = None
     lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)

@@ -1,4 +1,4 @@
-"""One-pass alternating-extreme scan: one trigger kernel, numpy for the rest.
+"""One-pass alternating-extreme scan: one trigger machine, numpy for the rest.
 
 The scan walks the samples once. It starts undecided, tracking both the
 running minimum and the running maximum from the left end. The first time
@@ -12,13 +12,17 @@ inputs straddling the level by one ulp behave deterministically.
 
 There is one state machine, ``_window_scan``. Besides the totals it
 records the index of every trigger, one append per trigger to an int64
-buffer. The triggers cut the samples into windows ``[0, t0), [t0, t1), ...,
-[tk, n)``: the undecided window, then peak and valley windows alternating.
-Every per-sample array is derived from the trigger indices, bit-identical to
-stepping the scan through the samples. ``full_scan`` derives its arrays in
-one native loop over the windows (``derive_scan`` in ``_native.cpp``) when
-the native library loads, and otherwise with whole-array numpy, the
-reference route described here:
+buffer. ``window_scan`` in ``_native.cpp`` makes the same comparisons and
+additions step for step; ``full_scan`` and ``regime_scan`` run it when the
+native library loads, and it also writes the skeleton (below) as it goes.
+``tv_scan`` stays on ``_window_scan``, which is the fallback and the
+reference of the native machine. The triggers cut the samples into windows
+``[0, t0), [t0, t1), ..., [tk, n)``: the undecided window, then peak and
+valley windows alternating. Every per-sample array is derived from the
+trigger indices, bit-identical to stepping the scan through the samples.
+``full_scan`` derives its arrays in one native loop over the windows
+(``derive_scan``) when the native library loads, and otherwise with
+whole-array numpy, the reference route described here:
 
 - The tracked extreme, the running max or min of the window so far, is one
   running maximum over ``window + 1j * (+-value)``: numpy orders complex
@@ -28,9 +32,9 @@ reference route described here:
   occurrence (this decides the sign of a ``+-0.0`` extreme).
 - The skeleton (below), ``lows`` and ``highs`` are the windows' extremes:
   ``full_scan`` reads the anchors it needs off the running extreme,
-  ``tv_scan`` and ``regime_scan`` reduce each window with
-  ``minimum/maximum.reduceat`` and, if the samples hold a ``-0.0``, give a
-  zero extreme the sign of the window's first zero.
+  ``tv_scan`` and the Python route of ``regime_scan`` reduce each window
+  with ``minimum/maximum.reduceat`` and, if the samples hold a ``-0.0``,
+  give a zero extreme the sign of the window's first zero.
 - ``approx``, ``up`` and ``down`` apply the scan's own floating-point
   operations element by element, ``extreme -+ c/2`` and
   ``closed + ((extreme - anchor) - c)``; ``closed``, the sum over the
@@ -64,14 +68,15 @@ same operations on the same operands as the scan; negating a difference is
 exact, so the falls are ``|s[k+1] - s[k]|`` too. A skeleton of one value
 gives 0.0. ``truncated_variation.sweep`` prices levels this way.
 
-The kernel is plain Python over the samples as Python floats, where a sum
-past float64 gives ``inf`` without a warning. Every kernel call checks its
-totals once: if ``up + down`` overflows, ``PathError`` ``tv-overflow`` is
-raised instead of returning ``inf``. The totals bound every partial sum
-the per-sample arrays hold, so those stay finite. The band ``extreme -+ c/2`` is not bounded by them: ``full_scan``
-computes it without warnings, and ``lazy_approximation`` raises
-``band-overflow`` when it is not finite. Accumulation is left to right,
-which keeps reruns bit-reproducible.
+The Python kernel works on the samples as Python floats, and the native
+one on C doubles; on both a sum past float64 gives ``inf`` without a
+warning. Every kernel call checks its totals once: if ``up + down``
+overflows, ``PathError`` ``tv-overflow`` is raised instead of returning
+``inf``. The totals bound every partial sum the per-sample arrays hold, so
+those stay finite. The band ``extreme -+ c/2`` is not bounded by them:
+``full_scan`` computes it without warnings, and ``lazy_approximation``
+raises ``band-overflow`` when it is not finite. Accumulation is left to
+right, which keeps reruns bit-reproducible.
 """
 
 from __future__ import annotations
@@ -234,11 +239,36 @@ def _alternate(a, direction):
     return a[first::2].copy(), a[1 - first :: 2].copy()
 
 
+def _native_window_scan(lib, values, c, keep_skeleton):
+    """``(values, direction, starts, skeleton)`` from the library's trigger
+    machine, which makes ``_window_scan``'s comparisons and additions step for
+    step; ``values`` comes back contiguous and the skeleton is None unless
+    ``keep_skeleton`` is set. Raises ``tv-overflow`` as ``_window_scan`` does.
+    """
+    values = np.ascontiguousarray(values, np.float64)
+    n = values.shape[0]
+    # at most one trigger per sample; pages past the k entries written stay untouched
+    starts = np.empty(n + 1, np.int64)
+    skeleton = np.empty(n + 1) if keep_skeleton else None
+    totals = np.empty(3)
+    k = lib.window_scan(
+        values.ctypes.data, n, c, starts.ctypes.data,
+        None if skeleton is None else skeleton.ctypes.data, totals.ctypes.data,
+    )
+    up_total, down_total, direction = totals.tolist()
+    checked_total(up_total + down_total)
+    return values, int(direction), starts[:k], None if skeleton is None else skeleton[:k]
+
+
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
-    _, _, direction, starts = _window_scan(values, c)
-    starts = np.frombuffer(starts, np.int64)
-    skeleton = _window_extremes(values, starts, direction)
+    lib = _native.codec()
+    if lib is not None:
+        _, direction, starts, skeleton = _native_window_scan(lib, values, c, True)
+    else:
+        _, _, direction, starts = _window_scan(values, c)
+        starts = np.frombuffer(starts, np.int64)
+        skeleton = _window_extremes(values, starts, direction)
     up_times, down_times = _alternate(starts[1:], direction)
     return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
 
@@ -259,25 +289,25 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
-    nondecreasing components. With the native library they come from one
-    loop over the windows; otherwise from numpy, where the window kind and
+    nondecreasing components. With the native library they come from its
+    trigger machine and one loop over the windows; otherwise from numpy, where the window kind and
     running extreme of each sample are temporaries (``regime_detector``
     exposes them), freed as soon as they are used, so the peak stays near
     the size of the outputs.
     """
     n = values.shape[0]
     half = c / 2.0
-    _, _, direction, starts = _window_scan(values, c)
-    starts = np.frombuffer(starts, np.int64)
     lib = _native.codec()
     if lib is not None:
-        values = np.ascontiguousarray(values, np.float64)
+        values, direction, starts, _ = _native_window_scan(lib, values, c, False)
         out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
         lib.derive_scan(
             values.ctypes.data, n, starts.ctypes.data, starts.shape[0], direction == DOWN, c,
             *(a.ctypes.data for a in out),
         )
         return out
+    _, _, direction, starts = _window_scan(values, c)
+    starts = np.frombuffer(starts, np.int64)
     m = starts.shape[0] - 1  # the number of triggers
     tracks = np.zeros(m + 1, bool)  # the windows that track the maximum
     tracks[0 if direction == DOWN else 1 :: 2] = True

@@ -9,10 +9,12 @@ totals off the curves' last entries, and ``decompose`` builds no band.
 Commands that read or write path files put ``codec`` before ``wall_ms``
 (``bench`` reports it too): ``native`` when the process loaded the native
 library and ``python`` when it runs the Python routes. The library is the
-C++ CSV codec, and it also carries the per-sample derivation behind
-``approx``, ``decompose`` and ``tv --prefix`` and the greedy pass of
-``skeleton``. A file the native reader refuses is parsed by the Python line
-parser, still under ``codec=native``. They add ``read_ms`` (when a file was
+C++ CSV codec, and it also carries the trigger machine and the per-sample
+derivation behind ``approx``, ``decompose`` and ``tv --prefix`` and the
+greedy pass of ``skeleton``; the totals-only scan of ``tv``, ``sweep`` and
+``bench`` stays on the plain-Python kernel, so ``bench`` reports
+``backend=python``. A file the native reader refuses is parsed by the
+Python line parser, still under ``codec=native``. They add ``read_ms`` (when a file was
 read), ``write_ms`` (when files were written) and ``peak_rss_kb``, the
 process's peak resident set size from ``getrusage`` (KiB on Linux). Floats are
 rendered with shortest round-trip precision. Exit codes: 0 success, 2 bad

@@ -1,14 +1,16 @@
 """Shared fixtures, and the one switch between the native and the Python route.
 
-``pathio``, ``_scan.full_scan`` and ``optimal_approx.step_skeleton`` run in
-the native library whenever ``_native.codec()`` loads it, and take their
-Python routes, which stay the reference, when it returns None. A module,
-class or function marked ``both_routes`` runs on both routes: in its own
-module on the native library, and again in ``test_python_codec.py``, which
-gathers every marked test with ``both_routes_tests()``, with ``codec``
-patched to return None for that one test. So an unmarked test always sees
-the unpatched library. Where the library does not build, the native items
-skip rather than run the Python route twice.
+``pathio``, ``_scan.full_scan``, ``_scan.regime_scan`` (the trigger machine
+of both) and ``optimal_approx.step_skeleton`` run in the native library
+whenever ``_native.codec()`` loads it (``_scan.tv_scan`` stays on the Python
+kernel), and take their Python routes, which stay the reference, when it
+returns None. A module, class or function marked ``both_routes`` runs on
+both routes: in its own module on the native library, and again in
+``test_python_codec.py``, which gathers every marked test with
+``both_routes_tests()``, with ``codec`` patched to return None for that one
+test. So an unmarked test always sees the unpatched library. Where the
+library does not build, the native items skip rather than run the Python
+route twice.
 """
 
 import contextlib

@@ -15,6 +15,8 @@ from truncvar import (
 
 from _oracles import level_st, mixed_corpus, path_from
 
+pytestmark = pytest.mark.both_routes  # detect_regimes runs regime_scan
+
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=50
 )
@@ -107,7 +109,7 @@ class TestExactThreshold:
         assert detect_regimes(p, 0.5).first_direction == "none"
 
 
-class TestSingleSample:
+class TestSingleSampleRegimes:
     def test_degenerate_path(self):
         p = make_path([3.0], [1.5])
         d = detect_regimes(p, 0.7)

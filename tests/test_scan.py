@@ -1,12 +1,15 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
-``full_scan`` derives its arrays from the trigger indices of the totals
-kernel, in the native library's loop when it loads and with numpy
-otherwise. Its fields, and the regimes and running extremes of
-``regime_detector``, must match ``full_scan_loop`` bit for bit (floats
-compared as int64 bit patterns), the sign of a zero included; those tests
-are marked ``both_routes``, so they run on each route. The unmarked
-``test_routes_agree_*`` tests compare the two routes with each other.
+``full_scan`` and ``regime_scan`` run the trigger machine in the native
+library when it loads, and ``full_scan`` derives its arrays from the
+trigger indices in the library's loop, or with numpy otherwise. Its fields,
+and the regimes and running extremes of ``regime_detector``, must match
+``full_scan_loop`` bit for bit (floats compared as int64 bit patterns), the
+sign of a zero included; those tests are marked ``both_routes``, so they
+run on each route, as do the oracle-free scaling and overflow tests. The
+unmarked ``test_routes_agree_*`` tests compare the two routes with each
+other, and ``test_every_sample_oscillator_fills_the_buffers`` checks the
+native machine's buffer bounds.
 """
 
 import numpy as np
@@ -14,8 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncvar import detect_regimes, make_path, pathio, running_extremes, step_skeleton
-from truncvar._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, ScanResult, full_scan, tv_scan
+from truncvar import (
+    PathError,
+    _native,
+    detect_regimes,
+    make_path,
+    pathio,
+    running_extremes,
+    step_skeleton,
+)
+from truncvar._scan import (
+    DIRECTION_LABELS,
+    DOWN,
+    KIND_LABELS,
+    Regimes,
+    ScanResult,
+    full_scan,
+    regime_scan,
+    tv_scan,
+)
 
 from _oracles import full_scan_loop, mixed_corpus
 from conftest import needs_lib, python_route
@@ -71,26 +91,34 @@ def test_bit_identical_on_corpus():
                 assert_scan_exact(path.values, float(step))
 
 
-# +-0.0 mixtures, small integers (ties and plateaus), and general floats
-values_st = st.one_of(
-    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), min_size=1, max_size=40),
-    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
-    st.lists(st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=60),
-)
+def paths_of(floats):
+    """+-0.0 mixtures, small integers (ties and plateaus), and lists of ``floats``."""
+    return st.one_of(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), min_size=1, max_size=40),
+        st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+        st.lists(floats, min_size=1, max_size=60),
+    )
+
+
+values_st = paths_of(st.floats(min_value=-20, max_value=20, allow_nan=False))
+
+
+def levels_for(x):
+    """A general level, or an increment of ``x`` or one ulp to either side of it."""
+    steps = sorted({float(s) for s in np.abs(np.diff(x))} - {0.0})
+    levels = st.floats(min_value=0.01, max_value=50.0)
+    if steps:
+        step = st.sampled_from(steps)
+        levels = levels | step | step.map(lambda s: float(np.nextafter(s, 0.0)))
+        levels = levels | step.map(lambda s: float(np.nextafter(s, np.inf)))
+    return levels
 
 
 @pytest.mark.both_routes
 @given(values_st, st.data())
 @settings(deadline=None, max_examples=300)
 def test_bit_identical_property(vals, data):
-    x = np.array(vals)
-    steps = sorted({float(s) for s in np.abs(np.diff(x))} - {0.0})
-    levels = st.floats(min_value=0.01, max_value=50.0)
-    if steps:  # an increment, or one ulp to either side of it
-        step = st.sampled_from(steps)
-        levels = levels | step | step.map(lambda s: float(np.nextafter(s, 0.0)))
-        levels = levels | step.map(lambda s: float(np.nextafter(s, np.inf)))
-    assert_scan_exact(vals, data.draw(levels))
+    assert_scan_exact(vals, data.draw(levels_for(np.array(vals))))
 
 
 @pytest.mark.both_routes
@@ -120,21 +148,64 @@ def test_non_contiguous_values():
     ref = full_scan_loop(view.copy(), 1.0)
     for name, ref_field in zip(ScanResult._fields, ref):
         assert_same_bits(getattr(full_scan(view, 1.0), name), ref_field, name)
+    for name, ref_field in zip(Regimes._fields, ref[5:]):
+        assert_same_bits(getattr(regime_scan(view, 1.0), name), ref_field, name)
+
+
+@pytest.mark.both_routes
+@pytest.mark.parametrize("scan", [full_scan, regime_scan])
+def test_tv_overflow(scan):
+    x = np.array([0.0, 9e307, 0.0])  # up and down fit float64, up + down does not
+    with pytest.raises(PathError) as err:
+        scan(x, 1.0)
+    assert err.value.code == "tv-overflow"
+
+
+# values that scale by 2**-3 without rounding: zero, or far from the subnormals
+scalable_st = paths_of(
+    st.floats(min_value=-20, max_value=20, allow_nan=False).filter(
+        lambda v: v == 0.0 or abs(v) >= 2.0**-960
+    )
+)
+
+
+@pytest.mark.both_routes
+@given(scalable_st, st.data())
+@settings(deadline=None, max_examples=200)
+def test_scaling_by_powers_of_two(vals, data):
+    """Scaling the values and the level by a power of two scales every
+    rounded sum and difference exactly, and keeps every comparison."""
+    x = np.array(vals)
+    c = data.draw(levels_for(x))
+    scan = full_scan(x, c)
+    regimes = detect_regimes(make_path(np.arange(x.size, dtype=float), x), c)
+    for s in (2.0**-3, 2.0**5):
+        scaled = full_scan(x * s, c * s)
+        assert_same_bits(scaled.up, scan.up * s, "up")
+        assert_same_bits(scaled.down, scan.down * s, "down")
+        got = detect_regimes(make_path(np.arange(x.size, dtype=float), x * s), c * s)
+        assert got.first_direction == regimes.first_direction
+        assert_same_bits(got.up_times, regimes.up_times, "up_times")
+        assert_same_bits(got.down_times, regimes.down_times, "down_times")
+        assert_same_bits(got.lows, regimes.lows * s, "lows")
+        assert_same_bits(got.highs, regimes.highs * s, "highs")
 
 
 def assert_routes_agree(vals, c):
-    """``full_scan`` and ``step_skeleton``: the native loops give the numpy
-    and Python routes' bits."""
+    """``full_scan``, ``regime_scan`` and ``step_skeleton``: the native loops
+    give the numpy and Python routes' bits."""
     x = np.array(vals, dtype=np.float64)
     path = make_path(np.arange(x.size, dtype=float), x)
     assert pathio.codec() == "native"  # unmarked: nothing patched the library away
-    native = full_scan(x, c), step_skeleton(path, c)
+    native = full_scan(x, c), regime_scan(x, c), step_skeleton(path, c)
     with python_route():
-        ref = full_scan(x, c), step_skeleton(path, c)
+        ref = full_scan(x, c), regime_scan(x, c), step_skeleton(path, c)
     for name, got, want in zip(ScanResult._fields, native[0], ref[0]):
         assert_same_bits(got, want, name)
+    for name, got, want in zip(Regimes._fields, native[1], ref[1]):
+        assert_same_bits(got, want, name)
     for name in ("times", "values"):
-        assert_same_bits(getattr(native[1], name), getattr(ref[1], name), name)
+        assert_same_bits(getattr(native[2], name), getattr(ref[2], name), name)
 
 
 @needs_lib
@@ -153,3 +224,21 @@ def test_routes_agree_on_corpus():
 def test_routes_agree_on_ties_and_signed_zeros(vals, c):
     assert_routes_agree(vals, c)
 
+
+@needs_lib
+def test_every_sample_oscillator_fills_the_buffers():
+    # at c = 1 every sample after the first triggers: k = n windows, and the
+    # skeleton is the path itself; the entry past them stays unwritten
+    x = np.array([0.0, 1.0] * 500)
+    n = x.size
+    starts = np.full(n + 1, -7, np.int64)
+    skeleton = np.full(n + 1, -7.0)
+    totals = np.empty(3)
+    k = _native.codec().window_scan(
+        x.ctypes.data, n, 1.0, starts.ctypes.data, skeleton.ctypes.data, totals.ctypes.data
+    )
+    assert k == n
+    assert_same_bits(starts[:n], np.arange(n, dtype=np.int64))
+    assert_same_bits(skeleton[:n], x)
+    assert starts[n] == -7 and skeleton[n] == -7.0
+    assert totals.tolist() == [0.0, 0.0, 1.0]
