@@ -45,8 +45,8 @@ def best_time(fn, reps):
 
 def io_table(sizes, seed):
     """Best-of-reps ms and MB/s of each CSV layer call at each size, per codec route."""
-    lib = _native.codec()
-    # stand-ins for _native.codec: the native route when it builds, then python
+    lib = _native.library()
+    # stand-ins for _native.library: the native route when it builds, then python
     routes = [lambda: None] if lib is None else [lambda: lib, lambda: None]
     print(f"native codec: {'built' if lib is not None else 'unavailable, python route only'}")
     print(f"{'n':>12} {'layer':>14} {'codec':>7} {'best_ms':>10} {'MB/s':>8}")
@@ -66,7 +66,7 @@ def io_table(sizes, seed):
             ]
             for name, file, fn in layers:
                 for codec in routes:
-                    with mock.patch.object(_native, "codec", codec):
+                    with mock.patch.object(_native, "library", codec):
                         ran = pathio.codec()
                         t = best_time(fn, reps)
                     mb = os.path.getsize(file) / 2**20

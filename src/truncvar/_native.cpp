@@ -1,4 +1,5 @@
-// Native routines for truncvar, built on first use by _native.py.
+// Native routines for truncvar, built on first use by _native.py, whose
+// docstring lists which of the package's loops run here.
 //
 // The CSV codec for truncvar.pathio: format_rows writes rows of float64
 // columns in the layout of Python's repr; parse_rows reads the rows of a
@@ -10,13 +11,10 @@
 // returns -1 on anything else so that the caller re-reads the file with the
 // line parser.
 //
-// Three per-sample loops: window_scan is the trigger state machine of
-// truncvar._scan.full_scan and regime_scan, derive_scan writes the arrays of
-// full_scan from its trigger indices, and greedy_skeleton the breakpoints of
-// truncvar.optimal_approx.step_skeleton. Each performs the floating-point
-// operations of its numpy or Python reference in the same order, so the
-// results are the same bits; the build turns off contraction of a*b+c into
-// fused multiply-adds to keep it so.
+// The per-sample loops, window_scan and greedy_skeleton, perform the
+// floating-point operations of their numpy or Python references in the same
+// order, so the results are the same bits; the build turns off contraction
+// of a*b+c into fused multiply-adds to keep it so.
 
 #include <charconv>
 #include <cmath>
@@ -171,9 +169,19 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 // below, and returns the window count k. Needs n >= 1; starts and skeleton
 // hold n + 1 entries (a trigger fires at most once per sample), and only the
 // first k are written.
+//
+// approx, up and down are null together, or each holds n entries for the
+// arrays of truncvar._scan.full_scan, written from the state each sample
+// leaves: in a peak, approx = run_max - c/2 and up = up_total +
+// ((run_max - anchor_min) - c), down = down_total; in a valley the mirror
+// image; while undecided up = down = 0.0, and approx holds the band of the
+// undecided window's final extreme: anchor_min + c/2 at an up trigger,
+// anchor_max - c/2 at a down trigger, run_min + c/2 if nothing triggers.
 int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
-                    double* skeleton, double* totals) {
+                    double* skeleton, double* approx, double* up, double* down,
+                    double* totals) {
     enum { SEEK = 0, UP = 1, DOWN = 2 };
+    const double half = c / 2.0;
     int64_t k = 0;
     starts[k++] = 0;
     double run_min = values[0];
@@ -184,6 +192,7 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     double down_total = 0.0;
     double anchor_min = 0.0;  // valley extreme the open peak regime started from
     double anchor_max = 0.0;  // peak extreme the open valley regime started from
+    double seek_band = 0.0;   // approx over the undecided window, set when it ends
     for (int64_t j = 0; j < n; ++j) {
         const double v = values[j];
         if (phase == SEEK) {
@@ -192,12 +201,14 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
             if (v - run_min >= c) {
                 direction = phase = UP;
                 anchor_min = run_min;
+                seek_band = anchor_min + half;
                 if (skeleton) skeleton[k - 1] = anchor_min;
                 starts[k++] = j;
                 run_max = v;
             } else if (run_max - v >= c) {
                 direction = phase = DOWN;
                 anchor_max = run_max;
+                seek_band = anchor_max - half;
                 if (skeleton) skeleton[k - 1] = anchor_max;
                 starts[k++] = j;
                 run_min = v;
@@ -223,6 +234,24 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 run_max = v;
             }
         }
+        if (!approx) continue;
+        if (phase == UP) {
+            approx[j] = run_max - half;
+            up[j] = up_total + ((run_max - anchor_min) - c);
+            down[j] = down_total;
+        } else if (phase == DOWN) {
+            approx[j] = run_min + half;
+            up[j] = up_total;
+            down[j] = down_total + ((anchor_max - run_min) - c);
+        } else {
+            up[j] = 0.0;
+            down[j] = 0.0;
+        }
+    }
+    if (approx) {
+        if (k == 1) seek_band = run_min + half;
+        const int64_t seek_end = k == 1 ? n : starts[1];
+        for (int64_t j = 0; j < seek_end; ++j) approx[j] = seek_band;
     }
     if (phase == UP) up_total = up_total + ((run_max - anchor_min) - c);
     else if (phase == DOWN) down_total = down_total + ((anchor_max - run_min) - c);
@@ -231,66 +260,6 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     totals[1] = down_total;
     totals[2] = direction;
     return k;
-}
-
-// The per-sample arrays of the alternating scan at level c. starts holds the
-// k window starts [0, t0, t1, ...] that the trigger kernel returns: window w
-// covers [starts[w], starts[w + 1]) (the last one runs to n), window 0 is the
-// undecided one, and the windows alternate between tracking the maximum and
-// the minimum, window 0 tracking the maximum when first_tracks_max is set.
-// The running extreme of a window keeps the first of tied values (strict
-// comparisons), which decides the sign of a +-0.0 extreme. Per sample:
-//   approx = extreme - c/2 where the maximum is tracked, extreme + c/2 where
-//            the minimum is, and over the undecided window the value its
-//            final extreme gives;
-//   up     = closed_up + ((extreme - anchor) - c) in a peak window (w >= 1,
-//            tracking the maximum), else closed_up; down likewise with
-//            ((anchor - extreme) - c) in a valley window;
-// where the anchor is the final extreme of the window before, and closed_up
-// (closed_down) is the left-to-right sum of the same terms at the final
-// extreme of every peak (valley) window closed before this one (numpy's
-// cumsum also adds a +0.0 for each other window, which changes no partial
-// sum, as none is -0.0). Nothing is decided here: the triggers come in
-// through starts.
-void derive_scan(const double* values, int64_t n, const int64_t* starts, int64_t k,
-                 int first_tracks_max, double c, double* approx, double* up, double* down) {
-    const double half = c / 2.0;
-    double closed_up = 0.0;
-    double closed_down = 0.0;
-    double anchor = 0.0;
-    for (int64_t w = 0; w < k; ++w) {
-        const int64_t lo = starts[w];
-        const int64_t hi = w + 1 < k ? starts[w + 1] : n;
-        const bool tracks_max = (w % 2 == 0) == (first_tracks_max != 0);
-        double extreme = values[lo];
-        if (w == 0) {  // undecided: the band holds the value of the final extreme
-            for (int64_t j = lo; j < hi; ++j) {
-                const double v = values[j];
-                if (tracks_max ? v > extreme : v < extreme) extreme = v;
-                up[j] = 0.0;
-                down[j] = 0.0;
-            }
-            const double seek = tracks_max ? extreme - half : extreme + half;
-            for (int64_t j = lo; j < hi; ++j) approx[j] = seek;
-        } else if (tracks_max) {
-            for (int64_t j = lo; j < hi; ++j) {
-                if (values[j] > extreme) extreme = values[j];
-                approx[j] = extreme - half;
-                up[j] = closed_up + ((extreme - anchor) - c);
-                down[j] = closed_down;
-            }
-            closed_up = closed_up + ((extreme - anchor) - c);
-        } else {
-            for (int64_t j = lo; j < hi; ++j) {
-                if (values[j] < extreme) extreme = values[j];
-                approx[j] = extreme + half;
-                up[j] = closed_up;
-                down[j] = closed_down + ((anchor - extreme) - c);
-            }
-            closed_down = closed_down + ((anchor - extreme) - c);
-        }
-        anchor = extreme;
-    }
 }
 
 // The greedy breakpoints of a step skeleton: index 0, then every index whose

@@ -1,24 +1,31 @@
 """Loader for the native library in ``_native.cpp``, built on first use.
 
-The library holds the CSV codec of ``pathio`` and three per-sample loops:
-the trigger state machine of ``_scan.full_scan`` and ``_scan.regime_scan``,
-the derivation of ``full_scan``'s arrays from the trigger indices, and the
-greedy pass of ``optimal_approx.step_skeleton``. The totals-only
-``_scan.tv_scan`` keeps the Python trigger kernel. ``codec()``
-returns the loaded library, or None when it cannot be had; its callers
-then take their Python routes, which stay the reference. The first call
-compiles the source with the system C++ compiler (``c++``, else ``g++``;
-C++17 ``<charconv>`` with floating-point ``to_chars``/``from_chars``, as in
-GCC 11 or later) into ``__pycache__`` next to this file, under a name keyed
-by the machine and the CRC-32 of the source and the compiler flags, so an
-edited source or flag gets a fresh build and an unchanged one is built once
-per checkout. ``-ffp-contract=off`` keeps the compiler from fusing a
-multiply and an add, which would change the bits of the derived arrays
-where fused multiply-add is baseline. The build writes to a temporary
-name and then renames it into place, so processes that build at the same
-time each load a whole library. Nothing is built at import, and compiler
-output is captured, never printed. No compiler, a cache that cannot be
-written, or a failed build or load all give None.
+This is the one list of what runs natively. The library holds:
+
+- the CSV codec of ``pathio`` (``format_rows`` and ``parse_rows``);
+- ``window_scan``, the trigger state machine of ``_scan.full_scan`` and
+  ``_scan.regime_scan``, which writes the skeleton and ``full_scan``'s
+  per-sample arrays as it walks the samples;
+- ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
+
+The totals-only ``_scan.tv_scan`` (behind ``truncated_variation``,
+``sweep`` and ``l1_upper_bound``) keeps the Python trigger kernel.
+``library()`` returns the loaded library, or None when it cannot be had;
+its callers then take their Python routes, which stay the reference, and
+``pathio.codec()`` (the CLI's ``codec`` report key) names the route. The
+first call compiles the source with the system C++ compiler (``c++``,
+else ``g++``; C++17 ``<charconv>`` with floating-point
+``to_chars``/``from_chars``, as in GCC 11 or later) into ``__pycache__``
+next to this file, under a name keyed by the machine and the CRC-32 of
+the source and the compiler flags, so an edited source or flag gets a
+fresh build and an unchanged one is built once per checkout.
+``-ffp-contract=off`` keeps the compiler from fusing a multiply and an
+add, which would change the bits of the per-sample arrays where fused
+multiply-add is baseline. The build writes to a temporary name and then
+renames it into place, so processes that build at the same time each
+load a whole library. Nothing is built at import, and compiler output is
+captured, never printed. No compiler, a cache that cannot be written, or
+a failed build or load all give None.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ _F64 = ctypes.c_double
 
 
 @functools.cache
-def codec():
+def library():
     """The native library, or None when it cannot be built or loaded."""
     try:
         lib_path = _CACHE / _library_name(_SOURCE.read_bytes(), _FLAGS)
@@ -53,10 +60,8 @@ def codec():
     lib.format_rows.restype = _I64
     lib.parse_rows.argtypes = (ctypes.c_char_p, _I64, _PTR, _PTR, _I64)
     lib.parse_rows.restype = _I64
-    lib.window_scan.argtypes = (_PTR, _I64, _F64, _PTR, _PTR, _PTR)
+    lib.window_scan.argtypes = (_PTR, _I64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
     lib.window_scan.restype = _I64
-    lib.derive_scan.argtypes = (_PTR, _I64, _PTR, _I64, ctypes.c_int, _F64, _PTR, _PTR, _PTR)
-    lib.derive_scan.restype = None
     lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)
     lib.greedy_skeleton.restype = _I64
     return lib

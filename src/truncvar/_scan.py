@@ -13,16 +13,14 @@ inputs straddling the level by one ulp behave deterministically.
 There is one state machine, ``_window_scan``. Besides the totals it
 records the index of every trigger, one append per trigger to an int64
 buffer. ``window_scan`` in ``_native.cpp`` makes the same comparisons and
-additions step for step; ``full_scan`` and ``regime_scan`` run it when the
-native library loads, and it also writes the skeleton (below) as it goes.
-``tv_scan`` stays on ``_window_scan``, which is the fallback and the
-reference of the native machine. The triggers cut the samples into windows
+additions step for step, and writes the skeleton (below) and
+``full_scan``'s arrays from its state as it goes; ``_native`` lists which
+scans run it. ``_window_scan`` is its fallback and its reference. On that
+route the triggers cut the samples into windows
 ``[0, t0), [t0, t1), ..., [tk, n)``: the undecided window, then peak and
-valley windows alternating. Every per-sample array is derived from the
-trigger indices, bit-identical to stepping the scan through the samples.
-``full_scan`` derives its arrays in one native loop over the windows
-(``derive_scan``) when the native library loads, and otherwise with
-whole-array numpy, the reference route described here:
+valley windows alternating, and every per-sample array is derived from
+the trigger indices with whole-array numpy, bit-identical to stepping the
+scan through the samples:
 
 - The tracked extreme, the running max or min of the window so far, is one
   running maximum over ``window + 1j * (+-value)``: numpy orders complex
@@ -239,32 +237,34 @@ def _alternate(a, direction):
     return a[first::2].copy(), a[1 - first :: 2].copy()
 
 
-def _native_window_scan(lib, values, c, keep_skeleton):
-    """``(values, direction, starts, skeleton)`` from the library's trigger
-    machine, which makes ``_window_scan``'s comparisons and additions step for
-    step; ``values`` comes back contiguous and the skeleton is None unless
-    ``keep_skeleton`` is set. Raises ``tv-overflow`` as ``_window_scan`` does.
+def _native_window_scan(lib, values, c, keep_skeleton, out=None):
+    """``(direction, starts, skeleton)`` from the library's trigger machine,
+    which makes ``_window_scan``'s comparisons and additions step for step;
+    the skeleton is None unless ``keep_skeleton`` is set. With ``out``, a
+    ``ScanResult`` of n-entry arrays, it also writes ``full_scan``'s arrays
+    into them. Raises ``tv-overflow`` as ``_window_scan`` does.
     """
     values = np.ascontiguousarray(values, np.float64)
     n = values.shape[0]
     # at most one trigger per sample; pages past the k entries written stay untouched
     starts = np.empty(n + 1, np.int64)
     skeleton = np.empty(n + 1) if keep_skeleton else None
+    arrays = (None,) * 3 if out is None else (a.ctypes.data for a in out)
     totals = np.empty(3)
     k = lib.window_scan(
         values.ctypes.data, n, c, starts.ctypes.data,
-        None if skeleton is None else skeleton.ctypes.data, totals.ctypes.data,
+        None if skeleton is None else skeleton.ctypes.data, *arrays, totals.ctypes.data,
     )
     up_total, down_total, direction = totals.tolist()
     checked_total(up_total + down_total)
-    return values, int(direction), starts[:k], None if skeleton is None else skeleton[:k]
+    return int(direction), starts[:k], None if skeleton is None else skeleton[:k]
 
 
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
-    lib = _native.codec()
+    lib = _native.library()
     if lib is not None:
-        _, direction, starts, skeleton = _native_window_scan(lib, values, c, True)
+        direction, starts, skeleton = _native_window_scan(lib, values, c, True)
     else:
         _, _, direction, starts = _window_scan(values, c)
         starts = np.frombuffer(starts, np.int64)
@@ -289,22 +289,17 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
-    nondecreasing components. With the native library they come from its
-    trigger machine and one loop over the windows; otherwise from numpy, where the window kind and
-    running extreme of each sample are temporaries (``regime_detector``
-    exposes them), freed as soon as they are used, so the peak stays near
-    the size of the outputs.
+    nondecreasing components. The native trigger machine writes them as it
+    goes; on the numpy route the window kind and running extreme of each
+    sample are temporaries (``regime_detector`` exposes them), freed as soon
+    as they are used, so the peak stays near the size of the outputs.
     """
     n = values.shape[0]
     half = c / 2.0
-    lib = _native.codec()
+    lib = _native.library()
     if lib is not None:
-        values, direction, starts, _ = _native_window_scan(lib, values, c, False)
         out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
-        lib.derive_scan(
-            values.ctypes.data, n, starts.ctypes.data, starts.shape[0], direction == DOWN, c,
-            *(a.ctypes.data for a in out),
-        )
+        _native_window_scan(lib, values, c, False, out)
         return out
     _, _, direction, starts = _window_scan(values, c)
     starts = np.frombuffer(starts, np.int64)

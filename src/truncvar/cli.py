@@ -8,20 +8,18 @@ not). Each command computes only what it prints: ``tv --prefix`` reads its
 totals off the curves' last entries, and ``decompose`` builds no band.
 Commands that read or write path files put ``codec`` before ``wall_ms``
 (``bench`` reports it too): ``native`` when the process loaded the native
-library and ``python`` when it runs the Python routes. The library is the
-C++ CSV codec, and it also carries the trigger machine and the per-sample
-derivation behind ``approx``, ``decompose`` and ``tv --prefix`` and the
-greedy pass of ``skeleton``; the totals-only scan of ``tv``, ``sweep`` and
-``bench`` stays on the plain-Python kernel, so ``bench`` reports
-``backend=python``. A file the native reader refuses is parsed by the
-Python line parser, still under ``codec=native``. They add ``read_ms`` (when a file was
-read), ``write_ms`` (when files were written) and ``peak_rss_kb``, the
-process's peak resident set size from ``getrusage`` (KiB on Linux). Floats are
-rendered with shortest round-trip precision. Exit codes: 0 success, 2 bad
-usage, 3 malformed input data, 4 numeric-domain violation (e.g. a
-non-positive level, a total that overflows float64, or, from ``approx``, a
-band that does), 5 I/O failure. All behavior is controlled by flags; there
-is no configuration file and no environment lookup.
+library and ``python`` when it runs the Python routes; ``_native`` lists
+what the library runs. The totals-only scan of ``tv``, ``sweep`` and
+``bench`` is not among it, so ``bench`` reports ``backend=python``. A file
+the native reader refuses is parsed by the Python line parser, still under
+``codec=native``. They add ``read_ms`` (when a file was read), ``write_ms``
+(when files were written) and ``peak_rss_kb``, the process's peak resident
+set size from ``getrusage`` (KiB on Linux). Floats are rendered with
+shortest round-trip precision. Exit codes: 0 success, 2 bad usage, 3
+malformed input data, 4 numeric-domain violation (e.g. a non-positive
+level, a total that overflows float64, or, from ``approx``, a band that
+does), 5 I/O failure. All behavior is controlled by flags; there is no
+configuration file and no environment lookup.
 """
 
 from __future__ import annotations

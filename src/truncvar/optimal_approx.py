@@ -110,7 +110,7 @@ def step_skeleton(path: SampledPath, c) -> SampledPath:
     """
     c = level_value(c)
     half = c / 2.0
-    lib = _native.codec()
+    lib = _native.library()
     if lib is not None:  # the same loop in C, into an int64 buffer
         vals = np.ascontiguousarray(path.values, np.float64)
         keep = np.empty(vals.shape[0], np.int64)

@@ -12,10 +12,9 @@ Each direction has two routes: the native codec (``_native.cpp``, C++17
 codec is compiled with the system C++ compiler the first time a file is
 read or written and cached in the package's ``__pycache__``; without a
 compiler, a writable cache or a library that loads, every call takes the
-Python route. ``codec()`` says which one is in use: it names the native
-library, which also carries the trigger machine and per-sample derivation
-of ``_scan.full_scan`` and ``_scan.regime_scan`` and ``step_skeleton``'s
-greedy pass, so the same answer holds for those.
+Python route. ``codec()`` says which one is in use. It names the whole
+native library, so the same answer holds for the other loops that
+``_native`` lists.
 
 ``read_path`` reads the whole file and hands it to the native row parser,
 which accepts a strict subset of path files (ASCII decimal numbers, blanks
@@ -61,10 +60,9 @@ def format_number(x: float) -> str:
 
 
 def codec() -> str:
-    """``"native"`` when the native library (the codec and the per-sample
-    loops of ``full_scan``, ``regime_scan`` and ``step_skeleton``) is loaded,
-    else ``"python"``."""
-    return "python" if _native.codec() is None else "native"
+    """``"native"`` when the native library (``_native`` lists what it
+    holds) is loaded, else ``"python"``."""
+    return "python" if _native.library() is None else "native"
 
 
 def write_path(path: SampledPath, dest) -> None:
@@ -75,7 +73,7 @@ def write_path(path: SampledPath, dest) -> None:
 def read_path(src) -> SampledPath:
     """Parse a path file; raises FileFormatError on malformed rows."""
     data = Path(src).read_bytes()
-    lib = _native.codec()
+    lib = _native.library()
     if lib is not None:
         cap = data.count(b"\n") + 1  # no more rows than lines
         times, values = np.empty(cap), np.empty(cap)
@@ -133,7 +131,7 @@ def write_columns(dest, header: Sequence[str], columns: Sequence[np.ndarray]) ->
     """
     cols = [np.ascontiguousarray(col, dtype=np.float64) for col in columns]
     n = min((col.shape[0] for col in cols), default=0)
-    lib = _native.codec()
+    lib = _native.library()
     blocks = _repr_blocks(cols, n) if lib is None else _native_blocks(lib, cols, n)
     with open(dest, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())

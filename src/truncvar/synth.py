@@ -91,7 +91,12 @@ def generate(spec: GeneratorSpec) -> SampledPath:
     n = int(spec.length)
     seed = int(spec.seed)
     scale = float(spec.scale)
-    times = np.arange(n, dtype=np.float64)
+    try:
+        times = np.arange(np.intp(n), dtype=np.float64)
+    except (OverflowError, ValueError, MemoryError):
+        # a length past the index range (np.arange alone reads 2**63 as an
+        # empty range), or more samples than numpy can allocate
+        raise PathError("bad-generator-spec", f"length {n} is too large") from None
 
     if spec.kind == "ramp":
         values = scale * times

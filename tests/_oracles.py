@@ -56,9 +56,9 @@ def full_scan_loop(values, c):
 
     Returns (approx, up, down, kind, extreme, up_times, down_times, lows,
     highs, direction). The first three are the fields of
-    ``truncvar._scan.ScanResult``, which the package derives from the
-    trigger indices with numpy; ``detect_regimes`` and ``running_extremes``
-    give the rest. The tests compare the two bit for bit.
+    ``truncvar._scan.ScanResult``, which ``full_scan`` gives on both of its
+    routes; ``detect_regimes`` and ``running_extremes`` give the rest. The
+    tests compare the two bit for bit.
     """
     half = c / 2.0
     n = values.shape[0]

@@ -1,16 +1,14 @@
 """Shared fixtures, and the one switch between the native and the Python route.
 
-``pathio``, ``_scan.full_scan``, ``_scan.regime_scan`` (the trigger machine
-of both) and ``optimal_approx.step_skeleton`` run in the native library
-whenever ``_native.codec()`` loads it (``_scan.tv_scan`` stays on the Python
-kernel), and take their Python routes, which stay the reference, when it
-returns None. A module, class or function marked ``both_routes`` runs on
-both routes: in its own module on the native library, and again in
-``test_python_codec.py``, which gathers every marked test with
-``both_routes_tests()``, with ``codec`` patched to return None for that one
-test. So an unmarked test always sees the unpatched library. Where the
-library does not build, the native items skip rather than run the Python
-route twice.
+The loops that ``_native`` lists run in the native library whenever
+``_native.library()`` loads it, and take their Python routes, which stay
+the reference, when it returns None. A module, class or function marked
+``both_routes`` runs on both routes: in its own module on the native
+library, and again in ``test_python_codec.py``, which gathers every marked
+test with ``both_routes_tests()``, with ``library`` patched to return None
+for that one test. So an unmarked test always sees the unpatched library.
+Where the library does not build, the native items skip rather than run the
+Python route twice.
 """
 
 import contextlib
@@ -23,16 +21,16 @@ from truncvar import _native, make_path, pathio
 from truncvar.pathio import write_path
 
 NO_LIB = "the native library cannot be built here"
-needs_lib = pytest.mark.skipif(_native.codec() is None, reason=NO_LIB)
+needs_lib = pytest.mark.skipif(_native.library() is None, reason=NO_LIB)
 
 PYTHON_ROUTE_MODULE = "test_python_codec"
 
 
 @contextlib.contextmanager
 def python_route():
-    """Inside this block every caller of ``_native.codec`` takes its Python route."""
+    """Inside this block every caller of ``_native.library`` takes its Python route."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "codec", lambda: None)
+        mp.setattr(_native, "library", lambda: None)
         assert pathio.codec() == "python"
         yield
 
@@ -73,7 +71,7 @@ def route(request):
         with python_route():
             yield "python"
     else:
-        if _native.codec() is None:
+        if _native.library() is None:
             pytest.skip(NO_LIB)
         yield "native"
 

@@ -265,6 +265,14 @@ class TestExitCodes:
         assert "bad-level-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["gen", "--kind", "ramp", "--out", "x.csv"], ["bench"]])
+    def test_oversized_generator_length_exit_4(self, tmp_path, monkeypatch, capsys, command):
+        # 10**19 samples fail before anything is allocated
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--length", str(10**19)]) == 4
+        assert "bad-generator-spec" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_usage_exit_2(self, capsys):
         assert main(["tv"]) == 2
         assert main(["frobnicate"]) == 2

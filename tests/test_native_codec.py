@@ -21,7 +21,7 @@ from truncvar import _native, make_path, pathio
 
 from conftest import needs_lib
 
-LIB = _native.codec()
+LIB = _native.library()
 
 
 def native_repr(values) -> list[str]:
@@ -194,9 +194,9 @@ def test_parse_matches_float(rows, newline, pad):
 def loader(monkeypatch, tmp_path):
     """``_native`` with a fresh cache under ``tmp_path`` and no library loaded."""
     monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
-    _native.codec.cache_clear()
+    _native.library.cache_clear()
     yield monkeypatch
-    _native.codec.cache_clear()
+    _native.library.cache_clear()
 
 
 def assert_python_route(tmp_path):
@@ -215,7 +215,7 @@ def assert_python_route(tmp_path):
 
 def test_missing_compiler_gives_the_python_route_silently(loader, tmp_path, capfd):
     loader.setattr(_native, "_COMPILERS", ("no-such-compiler++",))
-    assert _native.codec() is None
+    assert _native.library() is None
     assert_python_route(tmp_path)
     assert capfd.readouterr() == ("", "")
 
@@ -224,7 +224,7 @@ def test_unwritable_cache_gives_the_python_route_silently(loader, tmp_path, capf
     # a cache under a regular file cannot be made, whatever the permissions
     (tmp_path / "file").write_text("")
     loader.setattr(_native, "_CACHE", tmp_path / "file" / "cache")
-    assert _native.codec() is None
+    assert _native.library() is None
     assert_python_route(tmp_path)
     assert capfd.readouterr() == ("", "")
 
@@ -233,7 +233,7 @@ def test_failed_build_prints_nothing_and_leaves_nothing(loader, tmp_path, capfd)
     broken = tmp_path / "broken.cpp"
     broken.write_text("#error this source does not compile\n")
     loader.setattr(_native, "_SOURCE", broken)
-    assert _native.codec() is None
+    assert _native.library() is None
     assert capfd.readouterr() == ("", "")
     assert list((tmp_path / "cache").iterdir()) == []
 
@@ -252,7 +252,7 @@ def test_build_is_cached_by_source_and_safe_in_parallel(loader, tmp_path):
     assert len(built) == 1 and built[0].endswith(".so")
     # a later first use loads the cached library without building
     loader.setattr(_native, "_build", lambda lib_path: pytest.fail("rebuilt"))
-    assert _native.codec() is not None
+    assert _native.library() is not None
 
 
 def test_library_name_is_keyed_by_source_and_flags():

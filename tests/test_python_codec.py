@@ -3,9 +3,9 @@
 ``conftest.both_routes_tests()`` gathers the marked classes and functions of
 the other test modules by their marker, so this module names no test: a
 newly marked test runs here as written. The ``route`` fixture runs each item
-of this module with ``_native.codec`` patched to return None, so the
-reference reader and writer, the numpy derivation of the per-sample scan
-arrays and the greedy Python loop stay covered wherever the library builds.
+of this module with ``_native.library`` patched to return None, so the
+Python routes of what ``_native`` lists stay covered wherever the library
+builds.
 """
 
 import pytest

@@ -1,15 +1,15 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
-``full_scan`` and ``regime_scan`` run the trigger machine in the native
-library when it loads, and ``full_scan`` derives its arrays from the
-trigger indices in the library's loop, or with numpy otherwise. Its fields,
-and the regimes and running extremes of ``regime_detector``, must match
-``full_scan_loop`` bit for bit (floats compared as int64 bit patterns), the
-sign of a zero included; those tests are marked ``both_routes``, so they
-run on each route, as do the oracle-free scaling and overflow tests. The
-unmarked ``test_routes_agree_*`` tests compare the two routes with each
-other, and ``test_every_sample_oscillator_fills_the_buffers`` checks the
-native machine's buffer bounds.
+``full_scan`` and ``regime_scan`` run the native trigger machine when the
+library loads (see ``_native``), and the Python kernel with numpy
+otherwise. The fields of ``full_scan``, and the regimes and running
+extremes of ``regime_detector``, must match ``full_scan_loop`` bit for bit
+(floats compared as int64 bit patterns), the sign of a zero included; those
+tests are marked ``both_routes``, so they run on each route, as do the
+oracle-free scaling and overflow tests. The unmarked
+``test_routes_agree_*`` tests compare the two routes with each other, and
+``test_every_sample_oscillator_fills_the_buffers`` checks the native
+machine's buffer bounds and per-sample arrays.
 """
 
 import numpy as np
@@ -133,6 +133,10 @@ def test_bit_identical_property(vals, data):
         ([-0.0, 0.0, 2.0, 0.0, -0.0, 2.0, -0.0], 2.0),  # triggers on zero ties
         ([5.0, 0.0, -0.0, 0.0, -0.0], 1.0),  # down-first, zero ties in the valley
         ([0.0, 0.0, 1.0, 1.0, 0.0, 0.0], 1.0),  # plateaus, level = step
+        ([0.0, 2.0, 1.5, 3.0], 1.0),  # first trigger at sample 1, up
+        ([0.0, -1.0, 3.0, 2.5], 1.0),  # first trigger at sample 1, down
+        ([0.0, 0.5, 0.2, 1.0], 1.0),  # first trigger at the last sample
+        ([-0.0, 0.0, -0.0, -1.0], 1.0),  # down-first, undecided maximum a zero tie
         ([0.0, 1.0] * 500, 1.0),  # every sample after the first triggers
         ([-0.0, 1.0, 0.0, 1.0] * 250, 1.0),  # the same, with zero ties
     ],
@@ -228,17 +232,23 @@ def test_routes_agree_on_ties_and_signed_zeros(vals, c):
 @needs_lib
 def test_every_sample_oscillator_fills_the_buffers():
     # at c = 1 every sample after the first triggers: k = n windows, and the
-    # skeleton is the path itself; the entry past them stays unwritten
+    # skeleton is the path itself; the entry past them stays unwritten, and
+    # the per-sample arrays fill their n entries and no more
     x = np.array([0.0, 1.0] * 500)
     n = x.size
     starts = np.full(n + 1, -7, np.int64)
     skeleton = np.full(n + 1, -7.0)
+    arrays = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
     totals = np.empty(3)
-    k = _native.codec().window_scan(
-        x.ctypes.data, n, 1.0, starts.ctypes.data, skeleton.ctypes.data, totals.ctypes.data
+    k = _native.library().window_scan(
+        x.ctypes.data, n, 1.0, starts.ctypes.data, skeleton.ctypes.data,
+        *(a.ctypes.data for a in arrays), totals.ctypes.data,
     )
     assert k == n
     assert_same_bits(starts[:n], np.arange(n, dtype=np.int64))
     assert_same_bits(skeleton[:n], x)
     assert starts[n] == -7 and skeleton[n] == -7.0
     assert totals.tolist() == [0.0, 0.0, 1.0]
+    for name, got, want in zip(ScanResult._fields, arrays, full_scan_loop(x, 1.0)):
+        assert_same_bits(got[:n], want, name)
+        assert got[n] == -7.0, name

@@ -87,6 +87,7 @@ def test_bad_spec_rejected():
         GeneratorSpec("ramp", 5, scale=0.0),
         GeneratorSpec("ramp", 5, extra={"nope": 1.0}),
         GeneratorSpec("jump-mixture", 5, extra={"jump_prob": 2.0}),
+        GeneratorSpec("ramp", 10**19),  # too long: fails before anything is allocated
     ):
         with pytest.raises(PathError) as err:
             generate(spec)
