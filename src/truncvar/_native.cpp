@@ -162,13 +162,13 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 
 // The trigger state machine of truncvar._scan._window_scan at level c, step
 // for step: strict running extremes, exact >= threshold tests and left-to-right
-// sums. Writes the window starts [0, t0, t1, ...] into starts; where skeleton
-// is not null, the extreme each window ends on: the anchor at each trigger,
-// then the final tracked extreme (the running minimum if nothing triggered).
-// Writes (up, down, direction) into totals, the direction in _scan's codes
-// below, and returns the window count k. Needs n >= 1; starts and skeleton
-// hold n + 1 entries (a trigger fires at most once per sample), and only the
-// first k are written.
+// sums. Where starts is not null, writes the window starts [0, t0, t1, ...]
+// into it; where skeleton is not null, the extreme each window ends on: the
+// anchor at each trigger, then the final tracked extreme (the running minimum
+// if nothing triggered). Writes (up, down, direction) into totals, the
+// direction in _scan's codes below, and returns the window count k. Needs
+// n >= 1; starts and skeleton hold n + 1 entries (a trigger fires at most
+// once per sample), and only the first k are written.
 //
 // approx, up and down are null together, or each holds n entries for the
 // arrays of truncvar._scan.full_scan, written from the state each sample
@@ -182,8 +182,8 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                     double* totals) {
     enum { SEEK = 0, UP = 1, DOWN = 2 };
     const double half = c / 2.0;
-    int64_t k = 0;
-    starts[k++] = 0;
+    int64_t k = 1;
+    if (starts) starts[0] = 0;
     double run_min = values[0];
     double run_max = run_min;
     int phase = SEEK;
@@ -193,6 +193,7 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     double anchor_min = 0.0;  // valley extreme the open peak regime started from
     double anchor_max = 0.0;  // peak extreme the open valley regime started from
     double seek_band = 0.0;   // approx over the undecided window, set when it ends
+    int64_t seek_end = n;     // the first trigger, where the undecided window ends
     for (int64_t j = 0; j < n; ++j) {
         const double v = values[j];
         if (phase == SEEK) {
@@ -202,15 +203,19 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 direction = phase = UP;
                 anchor_min = run_min;
                 seek_band = anchor_min + half;
+                seek_end = j;
                 if (skeleton) skeleton[k - 1] = anchor_min;
-                starts[k++] = j;
+                if (starts) starts[k] = j;
+                ++k;
                 run_max = v;
             } else if (run_max - v >= c) {
                 direction = phase = DOWN;
                 anchor_max = run_max;
                 seek_band = anchor_max - half;
+                seek_end = j;
                 if (skeleton) skeleton[k - 1] = anchor_max;
-                starts[k++] = j;
+                if (starts) starts[k] = j;
+                ++k;
                 run_min = v;
             }
         } else if (phase == UP) {
@@ -219,7 +224,8 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 up_total = up_total + ((run_max - anchor_min) - c);
                 anchor_max = run_max;
                 if (skeleton) skeleton[k - 1] = anchor_max;
-                starts[k++] = j;
+                if (starts) starts[k] = j;
+                ++k;
                 phase = DOWN;
                 run_min = v;
             }
@@ -229,7 +235,8 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 down_total = down_total + ((anchor_max - run_min) - c);
                 anchor_min = run_min;
                 if (skeleton) skeleton[k - 1] = anchor_min;
-                starts[k++] = j;
+                if (starts) starts[k] = j;
+                ++k;
                 phase = UP;
                 run_max = v;
             }
@@ -250,7 +257,6 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     }
     if (approx) {
         if (k == 1) seek_band = run_min + half;
-        const int64_t seek_end = k == 1 ? n : starts[1];
         for (int64_t j = 0; j < seek_end; ++j) approx[j] = seek_band;
     }
     if (phase == UP) up_total = up_total + ((run_max - anchor_min) - c);

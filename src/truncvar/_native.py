@@ -4,8 +4,9 @@ This is the one list of what runs natively. The library holds:
 
 - the CSV codec of ``pathio`` (``format_rows`` and ``parse_rows``);
 - ``window_scan``, the trigger state machine of ``_scan.full_scan`` and
-  ``_scan.regime_scan``, which writes the skeleton and ``full_scan``'s
-  per-sample arrays as it walks the samples;
+  ``_scan.regime_scan``, which writes as it walks the samples only the
+  outputs it is handed (a null pointer skips one): the window starts and
+  the skeleton for ``regime_scan``, the per-sample arrays for ``full_scan``;
 - ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
 
 The totals-only ``_scan.tv_scan`` (behind ``truncated_variation``,

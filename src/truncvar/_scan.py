@@ -10,29 +10,26 @@ switching whenever the path moves at least ``c`` away from the tracked
 extreme. Threshold tests are exact floating-point ``>=`` comparisons, so
 inputs straddling the level by one ulp behave deterministically.
 
-There is one state machine, ``_window_scan``. Besides the totals it
-records the index of every trigger, one append per trigger to an int64
-buffer. ``window_scan`` in ``_native.cpp`` makes the same comparisons and
-additions step for step, and writes the skeleton (below) and
-``full_scan``'s arrays from its state as it goes; ``_native`` lists which
-scans run it. ``_window_scan`` is its fallback and its reference. On that
-route the triggers cut the samples into windows
+There is one state machine, ``_window_scan``, and ``window_scan`` in
+``_native.cpp`` makes the same comparisons and additions step for step;
+``_native`` lists which scans run the native one, and ``_window_scan`` is
+its fallback and its reference. Both share one output contract: besides
+the totals, each machine records only what its caller asks for, the trigger
+indices and the skeleton (below), which it appends as it fires. The native
+one also writes ``full_scan``'s arrays from its state as it goes. On the
+Python route the triggers cut the samples into windows
 ``[0, t0), [t0, t1), ..., [tk, n)``: the undecided window, then peak and
-valley windows alternating, and every per-sample array is derived from
-the trigger indices with whole-array numpy, bit-identical to stepping the
-scan through the samples:
+valley windows alternating, and every per-sample array is derived from the
+trigger indices and the skeleton with whole-array numpy, bit-identical to
+stepping the scan through the samples:
 
 - The tracked extreme, the running max or min of the window so far, is one
   running maximum over ``window + 1j * (+-value)``: numpy orders complex
   numbers lexicographically, so the window number restarts it at each
   trigger; negating a minimum window's values is exact; and a tie keeps the
   earlier value, as the scan's strict ``<``/``>`` updates keep the first
-  occurrence (this decides the sign of a ``+-0.0`` extreme).
-- The skeleton (below), ``lows`` and ``highs`` are the windows' extremes:
-  ``full_scan`` reads the anchors it needs off the running extreme,
-  ``tv_scan`` and the Python route of ``regime_scan`` reduce each window
-  with ``minimum/maximum.reduceat`` and, if the samples hold a ``-0.0``,
-  give a zero extreme the sign of the window's first zero.
+  occurrence (this decides the sign of a ``+-0.0`` extreme, as it does in
+  the skeleton).
 - ``approx``, ``up`` and ``down`` apply the scan's own floating-point
   operations element by element, ``extreme -+ c/2`` and
   ``closed + ((extreme - anchor) - c)``; ``closed``, the sum over the
@@ -96,19 +93,20 @@ DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
 KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
-def _window_scan(values, c):
-    """``(up, down, direction, starts)``: the totals at level c, and the
-    start of every window, ``[0, t0, t1, ...]``, i.e. 0 then the sample
-    index of every trigger, as an int64 ``array`` (8 bytes an index, read
-    with ``np.frombuffer``).
+def _window_scan(values, c, starts=None, skeleton=None):
+    """``(up, down, direction)``: the totals at level c.
 
     The one state machine. It walks the samples as Python floats, the same
     IEEE double operations as on numpy scalars, in O(1) working memory
-    besides ``starts``.
+    besides the buffers it is given: ``starts`` (an int64 ``array``) gets
+    the sample index of every trigger appended, and ``skeleton`` (a float64
+    ``array``) the anchor at every trigger and then the final tracked
+    extreme. Where a buffer is None nothing is recorded for it.
     """
     c = float(c)
     samples = memoryview(values)
-    starts = array("q", [0])
+    add_start = None if starts is None else starts.append
+    add_extreme = None if skeleton is None else skeleton.append
     run_min = run_max = samples[0]
     phase = direction = SEEK
     up_total = down_total = 0.0
@@ -122,38 +120,45 @@ def _window_scan(values, c):
                 run_max = v
             if v - run_min >= c:
                 direction = phase = UP
-                anchor_min = run_min
-                starts.append(j)
+                anchor = anchor_min = run_min
                 run_max = v
             elif run_max - v >= c:
                 direction = phase = DOWN
-                anchor_max = run_max
-                starts.append(j)
+                anchor = anchor_max = run_max
                 run_min = v
+            else:
+                continue
         elif phase == UP:
             if v > run_max:
                 run_max = v
-            if run_max - v >= c:
-                up_total = up_total + ((run_max - anchor_min) - c)
-                anchor_max = run_max
-                starts.append(j)
-                phase = DOWN
-                run_min = v
+            if not run_max - v >= c:
+                continue
+            up_total = up_total + ((run_max - anchor_min) - c)
+            anchor = anchor_max = run_max
+            phase = DOWN
+            run_min = v
         else:
             if v < run_min:
                 run_min = v
-            if v - run_min >= c:
-                down_total = down_total + ((anchor_max - run_min) - c)
-                anchor_min = run_min
-                starts.append(j)
-                phase = UP
-                run_max = v
+            if not v - run_min >= c:
+                continue
+            down_total = down_total + ((anchor_max - run_min) - c)
+            anchor = anchor_min = run_min
+            phase = UP
+            run_max = v
+        # sample j fired a trigger; anchor is the extreme of the window it closes
+        if add_start:
+            add_start(j)
+        if add_extreme:
+            add_extreme(anchor)
     if phase == UP:
         up_total = up_total + ((run_max - anchor_min) - c)
     elif phase == DOWN:
         down_total = down_total + ((anchor_max - run_min) - c)
+    if add_extreme:
+        add_extreme(run_max if phase == UP else run_min)
     checked_total(up_total + down_total)
-    return up_total, down_total, direction, starts
+    return up_total, down_total, direction
 
 
 class ScanResult(NamedTuple):
@@ -170,35 +175,19 @@ class Regimes(NamedTuple):
     direction: int
 
 
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def _window_extremes(values, starts, direction):
-    """The extreme each window's scan ends on: its first max (or min).
-
-    Windows alternate between tracking the minimum and the maximum; the
-    undecided window tracks the maximum when the first trigger is a down
-    trigger.
-    """
-    out = np.minimum.reduceat(values, starts)
-    first_max = 0 if direction == DOWN else 1
-    out[first_max::2] = np.maximum.reduceat(values, starts)[first_max::2]
-    if not out.all() and (values.view(np.int64) == _NEGATIVE_ZERO).any():
-        # a +-0.0 tie: the scan keeps the window's first zero
-        zero = np.flatnonzero(out == 0.0)
-        at = np.flatnonzero(values == 0.0)
-        out[zero] = values[at[np.searchsorted(at, starts[zero])]]
-    return out
-
-
-def window_samples(values, starts, tracks):
+def window_samples(values, starts, direction):
     """Per sample: its window, the window's kind (SEEK, UP or DOWN) and the
-    running extreme of the window so far, as the scan tracks it.
+    running extreme of the window so far, as the scan tracks it; and per
+    window whether it tracks the maximum.
 
-    ``starts`` are the window starts ``[0, t0, t1, ...]`` and ``tracks``
-    says per window whether it tracks the maximum. See the module docstring
-    for why the complex running maximum is exact.
+    ``starts`` are the window starts ``[0, t0, t1, ...]`` of a scan whose
+    first trigger went ``direction``. Windows alternate between tracking the
+    minimum and the maximum; the undecided window tracks the maximum when
+    the first trigger is a down trigger. See the module docstring for why
+    the complex running maximum is exact.
     """
+    tracks = np.zeros(starts.shape[0], bool)
+    tracks[0 if direction == DOWN else 1 :: 2] = True
     win = np.zeros(values.shape[0], np.intp)
     win[starts[1:]] = 1
     np.cumsum(win, out=win)
@@ -211,7 +200,7 @@ def window_samples(values, starts, tracks):
     np.negative(z.imag, out=z.imag, where=flip)
     kind_of = np.where(tracks, UP, DOWN).astype(np.int8)
     kind_of[0] = SEEK
-    return win, np.take(kind_of, win), z.imag.copy()
+    return win, np.take(kind_of, win), z.imag.copy(), tracks
 
 
 def tv_scan(
@@ -219,14 +208,13 @@ def tv_scan(
 ) -> tuple[float, float, int, np.ndarray | None]:
     """Totals ``(up, down, direction)`` at level c, plus the level-c skeleton.
 
-    The skeleton is None unless ``keep_skeleton`` is set.
+    The skeleton is None unless ``keep_skeleton`` is set; without it the
+    machine records nothing per trigger.
     """
-    up_total, down_total, direction, starts = _window_scan(values, c)
-    skeleton = (
-        _window_extremes(values, np.frombuffer(starts, np.int64), direction)
-        if keep_skeleton
-        else None
-    )
+    skeleton = array("d") if keep_skeleton else None
+    up_total, down_total, direction = _window_scan(values, c, skeleton=skeleton)
+    if skeleton is not None:
+        skeleton = np.frombuffer(skeleton)
     return up_total, down_total, direction, skeleton
 
 
@@ -237,38 +225,39 @@ def _alternate(a, direction):
     return a[first::2].copy(), a[1 - first :: 2].copy()
 
 
-def _native_window_scan(lib, values, c, keep_skeleton, out=None):
-    """``(direction, starts, skeleton)`` from the library's trigger machine,
-    which makes ``_window_scan``'s comparisons and additions step for step;
-    the skeleton is None unless ``keep_skeleton`` is set. With ``out``, a
-    ``ScanResult`` of n-entry arrays, it also writes ``full_scan``'s arrays
-    into them. Raises ``tv-overflow`` as ``_window_scan`` does.
+def _native_window_scan(lib, values, c, starts=None, skeleton=None, out=None):
+    """``(up, down, direction, k)`` from the library's trigger machine, which
+    makes ``_window_scan``'s comparisons and additions step for step. Where
+    they are given, it writes the window starts ``[0, t0, t1, ...]`` and the
+    skeleton into the k first entries of ``starts`` and ``skeleton``, which
+    hold n + 1, and ``full_scan``'s arrays into ``out``, a ``ScanResult`` of
+    n-entry arrays. Raises ``tv-overflow`` as ``_window_scan`` does.
     """
     values = np.ascontiguousarray(values, np.float64)
-    n = values.shape[0]
-    # at most one trigger per sample; pages past the k entries written stay untouched
-    starts = np.empty(n + 1, np.int64)
-    skeleton = np.empty(n + 1) if keep_skeleton else None
+    buffers = (None if a is None else a.ctypes.data for a in (starts, skeleton))
     arrays = (None,) * 3 if out is None else (a.ctypes.data for a in out)
     totals = np.empty(3)
     k = lib.window_scan(
-        values.ctypes.data, n, c, starts.ctypes.data,
-        None if skeleton is None else skeleton.ctypes.data, *arrays, totals.ctypes.data,
+        values.ctypes.data, values.shape[0], c, *buffers, *arrays, totals.ctypes.data
     )
     up_total, down_total, direction = totals.tolist()
     checked_total(up_total + down_total)
-    return int(direction), starts[:k], None if skeleton is None else skeleton[:k]
+    return up_total, down_total, int(direction), k
 
 
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
     lib = _native.library()
     if lib is not None:
-        direction, starts, skeleton = _native_window_scan(lib, values, c, True)
+        # at most one trigger per sample; pages past the k entries written stay untouched
+        n = values.shape[0]
+        starts, skeleton = np.empty(n + 1, np.int64), np.empty(n + 1)
+        _, _, direction, k = _native_window_scan(lib, values, c, starts, skeleton)
+        starts, skeleton = starts[:k], skeleton[:k]
     else:
-        _, _, direction, starts = _window_scan(values, c)
-        starts = np.frombuffer(starts, np.int64)
-        skeleton = _window_extremes(values, starts, direction)
+        starts, skeleton = array("q", [0]), array("d")
+        _, _, direction = _window_scan(values, c, starts, skeleton)
+        starts, skeleton = np.frombuffer(starts, np.int64), np.frombuffer(skeleton)
     up_times, down_times = _alternate(starts[1:], direction)
     return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
 
@@ -299,22 +288,16 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     lib = _native.library()
     if lib is not None:
         out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
-        _native_window_scan(lib, values, c, False, out)
+        _native_window_scan(lib, values, c, out=out)
         return out
-    _, _, direction, starts = _window_scan(values, c)
-    starts = np.frombuffer(starts, np.int64)
-    m = starts.shape[0] - 1  # the number of triggers
-    tracks = np.zeros(m + 1, bool)  # the windows that track the maximum
-    tracks[0 if direction == DOWN else 1 :: 2] = True
-    win, kind, extreme = window_samples(values, starts, tracks)
-    triggers = starts[1:]
     # skel[1:] is the skeleton, and skel[w] the anchor of window w >= 1
-    skel = np.empty(m + 2)
-    skel[0] = 0.0
-    skel[1:-1] = extreme[triggers - 1]
-    skel[-1] = extreme[-1]
-    seek_end = triggers[0] if m else n
-    del starts, triggers
+    starts, skel = array("q", [0]), array("d", [0.0])
+    _, _, direction = _window_scan(values, c, starts, skel)
+    starts, skel = np.frombuffer(starts, np.int64), np.frombuffer(skel)
+    m = starts.shape[0] - 1  # the number of triggers
+    win, kind, extreme, tracks = window_samples(values, starts, direction)
+    seek_end = starts[1] if m else n
+    del starts
 
     peaks = tracks[1:m]
     up = np.take(_closed_sums(skel[2 : m + 1], skel[1:m], peaks, c), win)

@@ -116,12 +116,11 @@ def running_extremes(
             "stale-decomposition",
             f"decomposition built for n={decomposition.n}, path has n={path.n}",
         )
-    ups = decomposition.up_times
-    starts = np.concatenate([[0], ups, decomposition.down_times]).astype(np.int64)
-    order = np.argsort(starts, kind="stable")  # 0 first: the undecided window
-    tracks = (order >= 1) & (order <= ups.size)  # peak windows track the max
-    tracks[0] = decomposition.first_direction == DOWN_FIRST
-    _, kinds, extreme = window_samples(path.values, starts[order], tracks)
+    ups, downs = decomposition.up_times, decomposition.down_times
+    direction = DOWN if decomposition.first_direction == DOWN_FIRST else UP
+    starts = np.zeros(1 + ups.size + downs.size, np.int64)  # the triggers alternate
+    starts[1::2], starts[2::2] = (downs, ups) if direction == DOWN else (ups, downs)
+    _, kinds, extreme, _ = window_samples(path.values, starts, direction)
     out: list[tuple[str, float]] = []
     for lo in range(0, path.n, _CHUNK):  # chunks keep the temporary lists small
         hi = lo + _CHUNK

@@ -7,9 +7,11 @@ extremes of ``regime_detector``, must match ``full_scan_loop`` bit for bit
 (floats compared as int64 bit patterns), the sign of a zero included; those
 tests are marked ``both_routes``, so they run on each route, as do the
 oracle-free scaling and overflow tests. The unmarked
-``test_routes_agree_*`` tests compare the two routes with each other, and
+``test_routes_agree_*`` tests compare the two routes with each other,
 ``test_every_sample_oscillator_fills_the_buffers`` checks the native
-machine's buffer bounds and per-sample arrays.
+machine's buffer bounds, its null outputs and its per-sample arrays, and
+``test_time_reversal_swaps_up_and_down`` checks the totals-only scan
+without an oracle.
 """
 
 import numpy as np
@@ -182,17 +184,40 @@ def test_scaling_by_powers_of_two(vals, data):
     x = np.array(vals)
     c = data.draw(levels_for(x))
     scan = full_scan(x, c)
+    up, down, direction, skeleton = tv_scan(x, c, True)
     regimes = detect_regimes(make_path(np.arange(x.size, dtype=float), x), c)
     for s in (2.0**-3, 2.0**5):
         scaled = full_scan(x * s, c * s)
         assert_same_bits(scaled.up, scan.up * s, "up")
         assert_same_bits(scaled.down, scan.down * s, "down")
+        got = tv_scan(x * s, c * s, True)
+        assert_same_bits(got[:2], np.array([up, down]) * s, "tv_scan totals")
+        assert got[2] == direction
+        assert_same_bits(got[3], skeleton * s, "skeleton")
         got = detect_regimes(make_path(np.arange(x.size, dtype=float), x * s), c * s)
         assert got.first_direction == regimes.first_direction
         assert_same_bits(got.up_times, regimes.up_times, "up_times")
         assert_same_bits(got.down_times, regimes.down_times, "down_times")
         assert_same_bits(got.lows, regimes.lows * s, "lows")
         assert_same_bits(got.highs, regimes.highs * s, "highs")
+
+
+@given(values_st, st.data())
+@settings(deadline=None, max_examples=300)
+def test_time_reversal_swaps_up_and_down(vals, data):
+    """Reversing the samples turns every rise into a fall, so ``tv_scan`` of
+    the reversed path gives (down, up) of the path up to rounding. Each
+    total is a left-to-right sum of k - 1 terms ``(hi - lo) - c``, one per
+    gap of the k-value skeleton, added in the opposite order on the other
+    side; the recursive-summation bound puts each side within k * eps/2
+    times the summed gaps of the exact value."""
+    x = np.array(vals)
+    c = data.draw(levels_for(x))
+    up, down, _, skeleton = tv_scan(x, c, True)
+    up_rev, down_rev, _, _ = tv_scan(x[::-1], c)
+    tol = skeleton.size * np.finfo(float).eps * np.abs(np.diff(skeleton)).sum()
+    assert abs(up_rev - down) <= tol
+    assert abs(down_rev - up) <= tol
 
 
 def assert_routes_agree(vals, c):
@@ -252,3 +277,17 @@ def test_every_sample_oscillator_fills_the_buffers():
     for name, got, want in zip(ScanResult._fields, arrays, full_scan_loop(x, 1.0)):
         assert_same_bits(got[:n], want, name)
         assert got[n] == -7.0, name
+    # a null starts, then null starts and skeleton: the same count, totals and bits
+    for keep_skeleton in (True, False):
+        again = np.full(n + 1, -7.0)
+        others = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
+        totals_again = np.empty(3)
+        k = _native.library().window_scan(
+            x.ctypes.data, n, 1.0, None, again.ctypes.data if keep_skeleton else None,
+            *(a.ctypes.data for a in others), totals_again.ctypes.data,
+        )
+        assert k == n
+        assert_same_bits(totals_again, totals)
+        assert_same_bits(again, skeleton if keep_skeleton else np.full(n + 1, -7.0))
+        for name, got, want in zip(ScanResult._fields, others, arrays):
+            assert_same_bits(got, want, name)
