@@ -11,16 +11,34 @@
 // returns -1 on anything else so that the caller re-reads the file with the
 // line parser.
 //
-// The per-sample loops, window_scan and greedy_skeleton, perform the
-// floating-point operations of their numpy or Python references in the same
-// order, so the results are the same bits; the build turns off contraction
-// of a*b+c into fused multiply-adds to keep it so.
+// The per-sample loops, window_scan, running_pairs and greedy_skeleton,
+// perform the floating-point operations of their numpy or Python references
+// in the same order, so the results are the same bits; the build turns off
+// contraction of a*b+c into fused multiply-adds to keep it so.
+//
+// running_pairs builds a Python list, so it is the one routine called with
+// the GIL held. It uses a handful of calls of CPython's stable ABI, declared
+// below rather than taken from Python.h, so the build needs no Python
+// headers: the symbols resolve at load time against the interpreter that
+// loads the library.
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <system_error>
+
+extern "C" {
+struct PyObject;
+PyObject* PyList_New(std::ptrdiff_t size);
+int PyList_SetItem(PyObject* list, std::ptrdiff_t index, PyObject* item);  // steals item
+PyObject* PyFloat_FromDouble(double value);
+PyObject* PyTuple_Pack(std::ptrdiff_t size, ...);
+void PyObject_GC_UnTrack(void* op);
+void Py_IncRef(PyObject* op);
+void Py_DecRef(PyObject* op);
+}
 
 namespace {
 
@@ -266,6 +284,55 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     totals[1] = down_total;
     totals[2] = direction;
     return k;
+}
+
+// The list of truncvar.regime_detector.running_extremes: one (label,
+// extreme) tuple per sample of values[0:n], over the k windows that begin at
+// starts[0] = 0 < starts[1] < ... < starts[k - 1] < n. Window 0 is labelled
+// seek; the windows alternate between tracking the running maximum (up) and
+// the running minimum (down), and window 0 tracks the maximum when max_first
+// is set. The extreme restarts at each window start and moves only on a
+// strict > or <, so a tie keeps the earlier sample, as the scan does (this
+// decides the sign of a zero extreme). A pair equal in label and in bits to
+// the one before it reuses that tuple. Every tuple is untracked from the
+// cyclic GC: a tuple of a str and a float cannot be part of a cycle, and
+// CPython would untrack it at its next collection anyway. Returns a new
+// reference, or null with a Python error set when an allocation fails.
+PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, int64_t k,
+                        int64_t max_first, PyObject* seek, PyObject* up, PyObject* down) {
+    PyObject* out = PyList_New(n);
+    if (!out) return nullptr;
+    PyObject* pair = nullptr;  // the last tuple made; the list holds it
+    PyObject* pair_label = nullptr;
+    uint64_t pair_bits = 0;
+    for (int64_t w = 0; w < k; ++w) {
+        const bool track_max = (w % 2 == 0) == (max_first != 0);
+        PyObject* label = w == 0 ? seek : track_max ? up : down;
+        const int64_t end = w + 1 < k ? starts[w + 1] : n;
+        double extreme = values[starts[w]];
+        for (int64_t j = starts[w]; j < end; ++j) {
+            const double v = values[j];
+            if (track_max ? v > extreme : v < extreme) extreme = v;
+            uint64_t bits;
+            std::memcpy(&bits, &extreme, sizeof bits);
+            if (pair && label == pair_label && bits == pair_bits) {
+                Py_IncRef(pair);
+            } else {
+                PyObject* number = PyFloat_FromDouble(extreme);
+                pair = number ? PyTuple_Pack(2, label, number) : nullptr;
+                if (number) Py_DecRef(number);
+                if (!pair) goto fail;
+                PyObject_GC_UnTrack(pair);
+                pair_label = label;
+                pair_bits = bits;
+            }
+            if (PyList_SetItem(out, j, pair) < 0) goto fail;
+        }
+    }
+    return out;
+fail:  // the failed call left a Python error set
+    Py_DecRef(out);  // the list frees what it holds, nulls included
+    return nullptr;
 }
 
 // The greedy breakpoints of a step skeleton: index 0, then every index whose

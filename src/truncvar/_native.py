@@ -7,8 +7,15 @@ This is the one list of what runs natively. The library holds:
   ``_scan.regime_scan``, which writes as it walks the samples only the
   outputs it is handed (a null pointer skips one): the window starts and
   the skeleton for ``regime_scan``, the per-sample arrays for ``full_scan``;
+- ``running_pairs``, which builds the list of
+  ``regime_detector.running_extremes`` from the validated window starts:
+  the running extreme of each window and one (kind, extreme) tuple per
+  sample, the same tuple reused while the pair repeats;
 - ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
 
+``running_pairs`` makes Python objects, so it is bound through a
+``ctypes.PyDLL`` handle on the same file and holds the GIL while it runs;
+every other function is bound through ``ctypes.CDLL`` and releases the GIL.
 The totals-only ``_scan.tv_scan`` (behind ``truncated_variation``,
 ``sweep`` and ``l1_upper_bound``) keeps the Python trigger kernel.
 ``library()`` returns the loaded library, or None when it cannot be had;
@@ -45,6 +52,7 @@ _FLAGS = ("-std=c++17", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
+_OBJ = ctypes.py_object
 
 
 @functools.cache
@@ -55,6 +63,7 @@ def library():
         if not lib_path.is_file() and not _build(lib_path):
             return None
         lib = ctypes.CDLL(str(lib_path))
+        running_pairs = ctypes.PyDLL(str(lib_path)).running_pairs  # holds the GIL
     except OSError:  # no source, an unwritable cache, or a library that won't load
         return None
     lib.format_rows.argtypes = (_PTR, _I64, _I64, _I64, _PTR)
@@ -65,6 +74,9 @@ def library():
     lib.window_scan.restype = _I64
     lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)
     lib.greedy_skeleton.restype = _I64
+    lib.running_pairs = running_pairs
+    lib.running_pairs.argtypes = (_PTR, _I64, _PTR, _I64, _I64, _OBJ, _OBJ, _OBJ)
+    lib.running_pairs.restype = _OBJ
     return lib
 
 

@@ -23,7 +23,8 @@ class PathError(ValueError):
     ``tv-overflow`` (a truncated variation total overflows float64),
     ``band-overflow`` (the band ``c/2`` around a value passes float64),
     ``outside-domain``, ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
-    ``stale-decomposition``, ``unknown-generator``, ``bad-generator-spec``.
+    ``stale-decomposition``, ``bad-decomposition`` (trigger times that no scan
+    gives), ``unknown-generator``, ``bad-generator-spec``.
     """
 
     def __init__(self, code: str, message: str):

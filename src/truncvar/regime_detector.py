@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP
 from ._scan import regime_scan, window_samples
 from .path_model import PathError, SampledPath, _frozen, level_value
 
-DOWN_FIRST = DIRECTION_LABELS[DOWN]
+_DIRECTIONS = {label: code for code, label in DIRECTION_LABELS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +61,37 @@ class RegimeDecomposition:
 
 def first_up_time(path: SampledPath, c) -> int | None:
     """Smallest index whose value sits >= c above the running minimum."""
-    c = level_value(c)
-    gain = path.values - np.minimum.accumulate(path.values)
-    hits = gain >= c
-    if not hits.any():
-        return None
-    return int(np.argmax(hits))
+    return _first_passage(path.values, level_value(c), up=True)
 
 
 def first_down_time(path: SampledPath, c) -> int | None:
     """Smallest index whose value sits >= c below the running maximum."""
-    c = level_value(c)
-    drop = np.maximum.accumulate(path.values) - path.values
-    hits = drop >= c
-    if not hits.any():
-        return None
-    return int(np.argmax(hits))
+    return _first_passage(path.values, level_value(c), up=False)
+
+
+_FIRST_BLOCK = 256
+
+
+def _first_passage(values: np.ndarray, c: float, up: bool) -> int | None:
+    """The first index at least c from the running extreme, or None.
+
+    Scans blocks of ``_FIRST_BLOCK``, then twice as many samples each time,
+    carrying the running extreme from block to block, and stops at the
+    first block with a hit. Minimum and maximum are exact, so every
+    comparison is the one a whole-path accumulate would make.
+    """
+    tracked = np.minimum if up else np.maximum
+    run = values[0]
+    lo, size = 0, _FIRST_BLOCK
+    while lo < values.shape[0]:
+        block = values[lo : lo + size]
+        extreme = tracked(tracked.accumulate(block), run)
+        hits = (block - extreme if up else extreme - block) >= c
+        if hits.any():
+            return lo + int(np.argmax(hits))
+        run = extreme[-1]
+        lo, size = lo + size, 2 * size
+    return None
 
 
 def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
@@ -93,7 +109,8 @@ def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
     )
 
 
-_WINDOW_LABELS = np.array([KIND_LABELS[SEEK], KIND_LABELS[UP], KIND_LABELS[DOWN]], object)
+_LABELS = (KIND_LABELS[SEEK], KIND_LABELS[UP], KIND_LABELS[DOWN])
+_WINDOW_LABELS = np.array(_LABELS, object)
 _CHUNK = 1 << 15
 
 
@@ -108,21 +125,61 @@ def running_extremes(
     down-first path) and the running minimum otherwise, restarted at each
     trigger. On ties the earlier sample's value is kept, as the scan keeps
     it, so the pairs equal the sample-by-sample scan's bit for bit, the sign
-    of a zero extreme included. One numpy pass over the samples
-    computes every window at once; see ``_scan``.
+    of a zero extreme included.
+
+    The native library (see ``_native``) builds the list in one pass over
+    the samples, one tuple per run of equal pairs; otherwise numpy computes
+    every window at once (``_scan.window_samples``) and the pairs are zipped
+    from its arrays. Either route first checks the decomposition against
+    the path: ``PathError`` ``stale-decomposition`` for another length,
+    ``bad-decomposition`` for triggers that no scan gives (counts that do
+    not alternate for ``first_direction``, times that do not strictly
+    increase, or a time outside ``[1, n)``).
     """
-    if decomposition.n != path.n:
-        raise PathError(
-            "stale-decomposition",
-            f"decomposition built for n={decomposition.n}, path has n={path.n}",
+    starts, direction = _window_starts(path, decomposition)
+    lib = _native.library()
+    if lib is not None:
+        values = np.ascontiguousarray(path.values, np.float64)
+        return lib.running_pairs(
+            values.ctypes.data, values.shape[0], starts.ctypes.data, starts.shape[0],
+            direction == DOWN, *_LABELS,
         )
-    ups, downs = decomposition.up_times, decomposition.down_times
-    direction = DOWN if decomposition.first_direction == DOWN_FIRST else UP
-    starts = np.zeros(1 + ups.size + downs.size, np.int64)  # the triggers alternate
-    starts[1::2], starts[2::2] = (downs, ups) if direction == DOWN else (ups, downs)
     _, kinds, extreme, _ = window_samples(path.values, starts, direction)
     out: list[tuple[str, float]] = []
     for lo in range(0, path.n, _CHUNK):  # chunks keep the temporary lists small
         hi = lo + _CHUNK
         out += zip(_WINDOW_LABELS[kinds[lo:hi]].tolist(), extreme[lo:hi].tolist())
     return out
+
+
+def _window_starts(path: SampledPath, decomposition: RegimeDecomposition):
+    """The window starts ``[0, t0, t1, ...]`` of ``decomposition`` on
+    ``path``, and the direction of its first trigger; ``PathError`` unless
+    the triggers are ones a scan of ``path`` could give."""
+    if decomposition.n != path.n:
+        raise PathError(
+            "stale-decomposition",
+            f"decomposition built for n={decomposition.n}, path has n={path.n}",
+        )
+    ups = np.asarray(decomposition.up_times)
+    downs = np.asarray(decomposition.down_times)
+    direction = _DIRECTIONS.get(decomposition.first_direction)
+    first, second = (downs, ups) if direction == DOWN else (ups, downs)
+    if direction is None:
+        problem = f"unknown first_direction {decomposition.first_direction!r}"
+    elif any(t.ndim != 1 or (t.size and t.dtype.kind not in "iu") for t in (ups, downs)):
+        problem = "trigger times must be one-dimensional integer arrays"
+    elif direction == SEEK and first.size + second.size:
+        problem = "a decomposition without a direction has no triggers"
+    elif first.size - second.size not in (0, 1):
+        problem = (
+            f"{ups.size} up and {downs.size} down triggers do not alternate for "
+            f"{decomposition.first_direction}"
+        )
+    else:
+        starts = np.zeros(1 + ups.size + downs.size, np.int64)
+        starts[1::2], starts[2::2] = first, second
+        if np.all(starts[1:] > starts[:-1]) and starts[-1] < path.n:
+            return starts, direction
+        problem = f"triggers must strictly increase within [1, {path.n})"
+    raise PathError("bad-decomposition", problem)

@@ -3,21 +3,27 @@
 ``format_rows`` must write ``repr``'s bytes for every float64. ``parse_rows``
 must give ``float``'s bits on the rows it accepts and return -1 on anything
 outside its subset, so that ``read_path`` re-reads with the line parser.
-The loader must fall back to None, silently, when it cannot build, and must
-name its cached build by the source and the compiler flags.
+The loader must fall back to None, silently, when it cannot build or load,
+and must name its cached build by the source and the compiler flags. Its one
+function that makes Python objects, ``running_pairs``, must hold the GIL and
+leave no reference or memory behind.
 """
 
+import ctypes
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncvar import _native, make_path, pathio
+from truncvar import _native, detect_regimes, make_path, pathio, running_extremes
+from truncvar._scan import KIND_LABELS
 
 from conftest import needs_lib
 
@@ -264,3 +270,54 @@ def test_library_name_is_keyed_by_source_and_flags():
     for flags in (_native._FLAGS[:-1], (*_native._FLAGS, "-g"), other_opt):
         assert _native._library_name(source, flags) != name
     assert _native._library_name(source + b"\n", _native._FLAGS) != name
+
+
+def test_failed_load_gives_the_python_route(loader, tmp_path):
+    # a cached file under the library's name that is no library
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / _native._library_name(_native._SOURCE.read_bytes(), _native._FLAGS)).write_bytes(
+        b"not a shared object"
+    )
+    assert _native.library() is None
+    path = make_path([0, 1, 2, 3, 4], [0.0, 1.0, 0.2, 1.2, 0.2])
+    assert running_extremes(path, detect_regimes(path, 0.6)) == [
+        ("seek", 0.0), ("up", 1.0), ("down", 0.2), ("up", 1.2), ("down", 0.2),
+    ]
+    assert_python_route(tmp_path)
+
+
+@needs_lib
+def test_only_running_pairs_holds_the_gil():
+    assert LIB.running_pairs._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for name in ("format_rows", "parse_rows", "window_scan", "greedy_skeleton"):
+        assert not getattr(LIB, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI, name
+
+
+@needs_lib
+def test_running_pairs_leaves_no_reference_or_memory_behind():
+    rng = np.random.default_rng(3)
+    path = make_path(np.arange(5000.0), np.cumsum(rng.standard_normal(5000)))
+    dec = detect_regimes(path, 1.0)
+    labels = list(KIND_LABELS.values())
+    running_extremes(path, dec)  # warm caches and free lists first
+    gc.collect()
+    counts = [sys.getrefcount(label) for label in labels]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            running_extremes(path, dec)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [sys.getrefcount(label) for label in labels] == counts
+    assert grown < 64 * 1024  # one dropped result of 5000 pairs is ~0.4 MB
+
+
+@needs_lib
+def test_running_pairs_raises_the_error_of_a_failed_allocation():
+    # a list this long is refused before anything is allocated or read
+    with pytest.raises(MemoryError):
+        LIB.running_pairs(None, 2**62, None, 0, 0, *KIND_LABELS.values())

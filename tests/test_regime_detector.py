@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from truncvar import (
     PathError,
+    RegimeDecomposition,
     detect_regimes,
     first_down_time,
     first_up_time,
@@ -13,7 +16,10 @@ from truncvar import (
     running_extremes,
 )
 
-from _oracles import level_st, mixed_corpus, path_from
+from truncvar._scan import KIND_LABELS
+from truncvar.regime_detector import _FIRST_BLOCK
+
+from _oracles import full_scan_loop, level_st, mixed_corpus, path_from
 
 pytestmark = pytest.mark.both_routes  # detect_regimes runs regime_scan
 
@@ -32,6 +38,59 @@ class TestFirstTimes:
         assert first_down_time(p1, 0.6) == 2
         assert first_down_time(p1, 1.1) is None
         assert first_down_time(p3, 0.1) is None
+
+
+def first_passage_loop(values, c, up):
+    """The first index at least c from the running extreme, as a plain loop."""
+    run = values[0]
+    for j, v in enumerate(values):
+        run = min(run, v) if up else max(run, v)
+        if (v - run if up else run - v) >= c:
+            return j
+    return None
+
+
+def assert_first_times(vals, c):
+    p = path_from(vals)
+    assert first_up_time(p, c) == first_passage_loop(list(vals), c, up=True)
+    assert first_down_time(p, c) == first_passage_loop(list(vals), c, up=False)
+
+
+# block k of the first-passage scan ends at _FIRST_BLOCK * (2**k - 1)
+BLOCK_ENDS = [_FIRST_BLOCK * (2**k - 1) for k in (1, 2, 3)]
+
+
+class TestFirstTimesInBlocks:
+    @pytest.mark.parametrize("n", [1, 2, _FIRST_BLOCK, BLOCK_ENDS[1] + 1, BLOCK_ENDS[2] + 5])
+    def test_no_hit(self, n):
+        vals = np.sin(np.arange(n)) * 0.49
+        assert_first_times(vals, 1.0)
+        assert first_up_time(path_from(vals), 1.0) is None
+
+    @pytest.mark.parametrize("n", [2, _FIRST_BLOCK, BLOCK_ENDS[1], BLOCK_ENDS[1] + 7])
+    def test_hit_in_the_last_sample(self, n):
+        for jump, found in ((1.0, first_up_time), (-1.0, first_down_time)):
+            vals = np.zeros(n)
+            vals[-1] = jump
+            assert_first_times(vals, 1.0)
+            assert found(path_from(vals), 1.0) == n - 1
+
+    @pytest.mark.parametrize("hit", [e + d for e in BLOCK_ENDS for d in (-1, 0, 1)])
+    def test_hit_on_a_block_boundary(self, hit):
+        # the extreme the hit is measured from sits in the first block, so
+        # the hit is found only if the scan carries it across the boundaries
+        for sign, found in ((1.0, first_up_time), (-1.0, first_down_time)):
+            vals = np.zeros(BLOCK_ENDS[-1] + 3)
+            vals[3], vals[hit] = -0.6 * sign, 0.5 * sign
+            assert_first_times(vals, 1.0)
+            assert found(path_from(vals), 1.0) == hit
+
+    def test_random_walks(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 300, 800, 2000):
+            vals = np.cumsum(rng.standard_normal(n))
+            for c in (0.5, 3.0, 10.0, 40.0):
+                assert_first_times(vals, c)
 
 
 class TestDetectRegimes:
@@ -93,6 +152,47 @@ class TestRunningExtremes:
         with pytest.raises(PathError) as err:
             running_extremes(p3, d)
         assert err.value.code == "stale-decomposition"
+
+
+def hand_built(path, direction, ups, downs):
+    return RegimeDecomposition(
+        direction, np.array(ups, np.int64), np.array(downs, np.int64),
+        np.zeros(1), np.zeros(1), path.n, 1.0,
+    )
+
+
+class TestBadDecomposition:
+    # running_extremes checks a decomposition before either route reads it
+    @pytest.mark.parametrize(
+        "direction, ups, downs",
+        [
+            ("up-first", [1, 3], []),  # counts that do not alternate
+            ("down-first", [2], []),  # down-first, no down trigger
+            ("none", [1], [2]),  # triggers without a direction
+            ("up-first", [9], []),  # past the end of a 5-sample path
+            ("up-first", [0], []),  # the undecided window starts at 0
+            ("up-first", [3], [2]),  # up-first, yet the down trigger is first
+            ("down-first", [2], [2]),  # two triggers at one sample
+            ("sideways", [], []),  # no such direction
+        ],
+    )
+    def test_rejected(self, p1, direction, ups, downs):
+        with pytest.raises(PathError) as err:
+            running_extremes(p1, hand_built(p1, direction, ups, downs))
+        assert err.value.code == "bad-decomposition"
+
+    def test_float_times_rejected(self, p1):
+        d = RegimeDecomposition("up-first", np.array([1.0]), np.array([], np.int64),
+                                np.zeros(1), np.zeros(1), p1.n, 1.0)
+        with pytest.raises(PathError) as err:
+            running_extremes(p1, d)
+        assert err.value.code == "bad-decomposition"
+
+    def test_hand_built_like_a_scan_accepted(self, p1):
+        # the scan's triggers, given as lists of Python ints
+        d = detect_regimes(p1, 0.6)
+        listed = RegimeDecomposition("up-first", [1, 3], [2, 4], d.lows, d.highs, p1.n, 0.6)
+        assert running_extremes(p1, listed) == running_extremes(p1, d)
 
 
 class TestExactThreshold:
@@ -233,3 +333,39 @@ def test_decomposition_properties_on_corpus():
         d = check_decomposition(path, c)
         kinds = [k for k, _ in running_extremes(path, d)]
         assert len(kinds) == path.n
+
+
+signed_zero_st = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), min_size=1, max_size=40),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+)
+
+
+@given(signed_zero_st, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+@example([-0.0], 1.0)  # n = 1
+@example([0.0, -0.0, 0.5, -0.0, 0.0, -0.5], 2.0)  # never triggers
+@example([-0.0, 0.0, -1.0, 0.0, -0.0, 1.0, 0.0], 1.0)  # zero ties in every window
+@settings(deadline=None, max_examples=300)
+def test_running_extremes_keep_signed_zeros(vals, c):
+    x = np.array(vals)
+    p = path_from(x)
+    kind, extreme = full_scan_loop(x, c)[3:5]
+    pairs = running_extremes(p, detect_regimes(p, c))
+    assert [k for k, _ in pairs] == [KIND_LABELS[int(k)] for k in kind]
+    assert all(type(e) is float for _, e in pairs)
+    assert [e for _, e in pairs] == extreme.tolist()
+    assert [math.copysign(1, e) for _, e in pairs] == np.copysign(1, extreme).tolist()
+
+
+# runs of one value, long enough to cross the first-passage scan's blocks
+runs_st = st.lists(
+    st.tuples(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]), st.integers(1, 400)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(runs_st, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+@settings(deadline=None, max_examples=150)
+def test_first_times_on_signed_zero_runs(runs, c):
+    assert_first_times([v for v, count in runs for _ in range(count)], c)

@@ -1,18 +1,22 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
-``full_scan`` and ``regime_scan`` run the native trigger machine when the
-library loads (see ``_native``), and the Python kernel with numpy
-otherwise. The fields of ``full_scan``, and the regimes and running
+``full_scan`` and ``regime_scan`` run the native trigger machine, and
+``running_extremes`` the native ``running_pairs``, when the library loads
+(see ``_native``), and the Python kernel with numpy otherwise. The fields of ``full_scan``, and the regimes and running
 extremes of ``regime_detector``, must match ``full_scan_loop`` bit for bit
 (floats compared as int64 bit patterns), the sign of a zero included; those
 tests are marked ``both_routes``, so they run on each route, as do the
 oracle-free scaling and overflow tests. The unmarked
-``test_routes_agree_*`` tests compare the two routes with each other,
+``test_routes_agree_*`` tests and
+``test_running_extremes_routes_agree_on_corpus`` compare the two routes with
+each other,
 ``test_every_sample_oscillator_fills_the_buffers`` checks the native
 machine's buffer bounds, its null outputs and its per-sample arrays, and
 ``test_time_reversal_swaps_up_and_down`` checks the totals-only scan
 without an oracle.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +256,32 @@ def test_routes_agree_on_corpus():
 @settings(deadline=None, max_examples=300)
 def test_routes_agree_on_ties_and_signed_zeros(vals, c):
     assert_routes_agree(vals, c)
+
+
+def assert_extremes_agree(vals, c):
+    """``running_extremes``: the native list gives the Python route's kinds,
+    floats and signs of zero, pair by pair."""
+    x = np.array(vals, dtype=np.float64)
+    path = make_path(np.arange(x.size, dtype=float), x)
+    dec = detect_regimes(path, c)
+    assert pathio.codec() == "native"
+    native = running_extremes(path, dec)
+    with python_route():
+        ref = running_extremes(path, dec)
+    assert len(native) == len(ref) == x.size
+    for (kind, e), (want_kind, want) in zip(native, ref):
+        assert kind == want_kind and type(e) is float
+        assert e == want and math.copysign(1, e) == math.copysign(1, want)
+
+
+@needs_lib
+def test_running_extremes_routes_agree_on_corpus():
+    for path, c in mixed_corpus(60, seed=6262, max_len=200):
+        assert_extremes_agree(path.values, c)
+        for step in np.abs(np.diff(path.values))[:3]:
+            if step > 0:  # triggers on equality
+                assert_extremes_agree(path.values, float(step))
+                assert_extremes_agree(path.values, 2.0 * float(step))
 
 
 @needs_lib
