@@ -12,8 +12,8 @@
 // line parser.
 //
 // The per-sample loops, window_scan, running_pairs and greedy_skeleton,
-// perform the floating-point operations of their numpy or Python references
-// in the same order, so the results are the same bits; the build turns off
+// perform the floating-point operations of their Python references in the
+// same order, so the results are the same bits; the build turns off
 // contraction of a*b+c into fused multiply-adds to keep it so.
 //
 // running_pairs builds a Python list, so it is the one routine called with
@@ -38,6 +38,8 @@ PyObject* PyTuple_Pack(std::ptrdiff_t size, ...);
 void PyObject_GC_UnTrack(void* op);
 void Py_IncRef(PyObject* op);
 void Py_DecRef(PyObject* op);
+int PyGC_Disable(void);  // returns whether the collector was enabled
+int PyGC_Enable(void);
 }
 
 namespace {
@@ -296,15 +298,19 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
 // decides the sign of a zero extreme). A pair equal in label and in bits to
 // the one before it reuses that tuple. Every tuple is untracked from the
 // cyclic GC: a tuple of a str and a float cannot be part of a cycle, and
-// CPython would untrack it at its next collection anyway. Returns a new
-// reference, or null with a Python error set when an allocation fails.
+// CPython would untrack it at its next collection anyway. For the same
+// reason the collector is paused while the list is built, since each new
+// tuple would count toward its next run; the caller's setting is restored
+// on every return. Returns a new reference, or null with a Python error set
+// when an allocation fails.
 PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, int64_t k,
                         int64_t max_first, PyObject* seek, PyObject* up, PyObject* down) {
-    PyObject* out = PyList_New(n);
-    if (!out) return nullptr;
+    const int gc_was_enabled = PyGC_Disable();
     PyObject* pair = nullptr;  // the last tuple made; the list holds it
     PyObject* pair_label = nullptr;
     uint64_t pair_bits = 0;
+    PyObject* out = PyList_New(n);
+    if (!out) goto done;
     for (int64_t w = 0; w < k; ++w) {
         const bool track_max = (w % 2 == 0) == (max_first != 0);
         PyObject* label = w == 0 ? seek : track_max ? up : down;
@@ -329,10 +335,13 @@ PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, 
             if (PyList_SetItem(out, j, pair) < 0) goto fail;
         }
     }
-    return out;
+    goto done;
 fail:  // the failed call left a Python error set
     Py_DecRef(out);  // the list frees what it holds, nulls included
-    return nullptr;
+    out = nullptr;
+done:
+    if (gc_was_enabled) PyGC_Enable();
+    return out;
 }
 
 // The greedy breakpoints of a step skeleton: index 0, then every index whose

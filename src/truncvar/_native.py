@@ -10,7 +10,8 @@ This is the one list of what runs natively. The library holds:
 - ``running_pairs``, which builds the list of
   ``regime_detector.running_extremes`` from the validated window starts:
   the running extreme of each window and one (kind, extreme) tuple per
-  sample, the same tuple reused while the pair repeats;
+  sample, the same tuple reused while the pair repeats, with the cyclic
+  GC paused while it runs;
 - ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
 
 ``running_pairs`` makes Python objects, so it is bound through a

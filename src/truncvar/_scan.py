@@ -1,4 +1,4 @@
-"""One-pass alternating-extreme scan: one trigger machine, numpy for the rest.
+"""One-pass alternating-extreme scan: one trigger machine and what it records.
 
 The scan walks the samples once. It starts undecided, tracking both the
 running minimum and the running maximum from the left end. The first time
@@ -16,25 +16,9 @@ There is one state machine, ``_window_scan``, and ``window_scan`` in
 its fallback and its reference. Both share one output contract: besides
 the totals, each machine records only what its caller asks for, the trigger
 indices and the skeleton (below), which it appends as it fires. The native
-one also writes ``full_scan``'s arrays from its state as it goes. On the
-Python route the triggers cut the samples into windows
-``[0, t0), [t0, t1), ..., [tk, n)``: the undecided window, then peak and
-valley windows alternating, and every per-sample array is derived from the
-trigger indices and the skeleton with whole-array numpy, bit-identical to
-stepping the scan through the samples:
-
-- The tracked extreme, the running max or min of the window so far, is one
-  running maximum over ``window + 1j * (+-value)``: numpy orders complex
-  numbers lexicographically, so the window number restarts it at each
-  trigger; negating a minimum window's values is exact; and a tie keeps the
-  earlier value, as the scan's strict ``<``/``>`` updates keep the first
-  occurrence (this decides the sign of a ``+-0.0`` extreme, as it does in
-  the skeleton).
-- ``approx``, ``up`` and ``down`` apply the scan's own floating-point
-  operations element by element, ``extreme -+ c/2`` and
-  ``closed + ((extreme - anchor) - c)``; ``closed``, the sum over the
-  closed regimes, comes from ``np.cumsum``, which adds left to right as the
-  scan does.
+one also writes ``full_scan``'s arrays from its state as it goes; on the
+Python route ``full_scan`` walks the samples again with the trigger indices
+and the skeleton in hand and makes the same operations on each sample.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
 order, then the extreme tracked when the samples run out (the running
@@ -175,34 +159,6 @@ class Regimes(NamedTuple):
     direction: int
 
 
-def window_samples(values, starts, direction):
-    """Per sample: its window, the window's kind (SEEK, UP or DOWN) and the
-    running extreme of the window so far, as the scan tracks it; and per
-    window whether it tracks the maximum.
-
-    ``starts`` are the window starts ``[0, t0, t1, ...]`` of a scan whose
-    first trigger went ``direction``. Windows alternate between tracking the
-    minimum and the maximum; the undecided window tracks the maximum when
-    the first trigger is a down trigger. See the module docstring for why
-    the complex running maximum is exact.
-    """
-    tracks = np.zeros(starts.shape[0], bool)
-    tracks[0 if direction == DOWN else 1 :: 2] = True
-    win = np.zeros(values.shape[0], np.intp)
-    win[starts[1:]] = 1
-    np.cumsum(win, out=win)
-    flip = np.take(~tracks, win)
-    z = np.empty(values.shape[0], np.complex128)
-    z.real = win
-    z.imag = values
-    np.negative(z.imag, out=z.imag, where=flip)
-    np.maximum.accumulate(z, out=z)
-    np.negative(z.imag, out=z.imag, where=flip)
-    kind_of = np.where(tracks, UP, DOWN).astype(np.int8)
-    kind_of[0] = SEEK
-    return win, np.take(kind_of, win), z.imag.copy(), tracks
-
-
 def tv_scan(
     values: np.ndarray, c: float, keep_skeleton: bool = False
 ) -> tuple[float, float, int, np.ndarray | None]:
@@ -262,63 +218,55 @@ def regime_scan(values: np.ndarray, c: float) -> Regimes:
     return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
 
 
-def _closed_sums(later, earlier, closed, c):
-    """Per window, the left-to-right sum of ``(later - earlier) - c`` over the
-    regimes ``closed`` before it; entry i of the inputs is window i + 1."""
-    sums = np.zeros(closed.shape[0] + 2)
-    gain = sums[2:]
-    np.subtract(later, earlier, out=gain, where=closed)
-    np.subtract(gain, c, out=gain, where=closed)
-    # the +0.0 of every other window leaves each partial sum unchanged
-    return np.cumsum(sums, out=sums)
-
-
 def full_scan(values: np.ndarray, c: float) -> ScanResult:
     """Per-sample band approximation and rise/fall pair.
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
     nondecreasing components. The native trigger machine writes them as it
-    goes; on the numpy route the window kind and running extreme of each
-    sample are temporaries (``regime_detector`` exposes them), freed as soon
-    as they are used, so the peak stays near the size of the outputs.
+    goes. On the Python route ``_window_scan`` records the triggers and the
+    skeleton, and one more pass over the samples makes the native machine's
+    operations on each one: a strict running extreme restarted at each
+    trigger, ``extreme -+ c/2``, ``closed + ((extreme - anchor) - c)``, and
+    the closed totals added left to right from the skeleton.
     """
     n = values.shape[0]
-    half = c / 2.0
+    out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
     lib = _native.library()
     if lib is not None:
-        out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
         _native_window_scan(lib, values, c, out=out)
         return out
-    # skel[1:] is the skeleton, and skel[w] the anchor of window w >= 1
-    starts, skel = array("q", [0]), array("d", [0.0])
-    _, _, direction = _window_scan(values, c, starts, skel)
-    starts, skel = np.frombuffer(starts, np.int64), np.frombuffer(skel)
-    m = starts.shape[0] - 1  # the number of triggers
-    win, kind, extreme, tracks = window_samples(values, starts, direction)
-    seek_end = starts[1] if m else n
-    del starts
-
-    peaks = tracks[1:m]
-    up = np.take(_closed_sums(skel[2 : m + 1], skel[1:m], peaks, c), win)
-    down = np.take(_closed_sums(skel[1:m], skel[2 : m + 1], ~peaks, c), win)
-    diff = np.take(skel[: m + 1], win)
-    del win
-    peak = kind == UP
-    valley = kind == DOWN
-    del kind
-    np.subtract(extreme, diff, out=diff, where=peak)
-    np.subtract(diff, extreme, out=diff, where=valley)
-    np.subtract(diff, c, out=diff)
-    np.add(up, diff, out=up, where=peak)
-    np.add(down, diff, out=down, where=valley)
-    del diff
-    # a band past float64 holds +-inf, and lazy_approximation reports it
-    with np.errstate(over="ignore"):
-        seek = skel[1] - half if direction == DOWN else skel[1] + half
-        del skel
-        approx = np.empty(n)
-        np.subtract(extreme, half, out=approx, where=peak)
-        np.add(extreme, half, out=approx, where=valley)
-    approx[:seek_end] = seek
-    return ScanResult(approx, up, down)
+    starts, skeleton = array("q"), array("d")
+    _, _, direction = _window_scan(values, c, starts, skeleton)
+    half = c / 2.0
+    # the undecided window holds the band of its final extreme, skeleton[0]
+    seek_end = starts[0] if starts else n
+    out.approx[:seek_end] = skeleton[0] - half if direction == DOWN else skeleton[0] + half
+    out.up[:seek_end] = out.down[:seek_end] = 0.0
+    approx, up, down = (memoryview(a) for a in out)
+    triggers, anchors = iter(starts), iter(skeleton)
+    next_start = next(triggers, n)
+    up_total = down_total = anchor = 0.0
+    for j, v in enumerate(memoryview(values)[seek_end:], seek_end):
+        if j == next_start:  # a trigger: the window before it ends on the next anchor
+            next_start = next(triggers, n)
+            closed, anchor = anchor, next(anchors)
+            if j == seek_end:
+                peak = direction == UP
+            elif peak:
+                up_total = up_total + ((anchor - closed) - c)
+                peak = False
+            else:
+                down_total = down_total + ((closed - anchor) - c)
+                peak = True
+            moved = True
+        else:
+            moved = v > extreme if peak else v < extreme
+        if moved:  # the three outputs change only with the tracked extreme
+            extreme = v
+            if peak:
+                band, rise, fall = v - half, up_total + ((v - anchor) - c), down_total
+            else:
+                band, rise, fall = v + half, up_total, down_total + ((anchor - v) - c)
+        approx[j], up[j], down[j] = band, rise, fall
+    return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _native
 from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP
-from ._scan import regime_scan, window_samples
+from ._scan import regime_scan
 from .path_model import PathError, SampledPath, _frozen, level_value
 
 _DIRECTIONS = {label: code for code, label in DIRECTION_LABELS.items()}
@@ -110,8 +110,6 @@ def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
 
 
 _LABELS = (KIND_LABELS[SEEK], KIND_LABELS[UP], KIND_LABELS[DOWN])
-_WINDOW_LABELS = np.array(_LABELS, object)
-_CHUNK = 1 << 15
 
 
 def running_extremes(
@@ -127,14 +125,14 @@ def running_extremes(
     it, so the pairs equal the sample-by-sample scan's bit for bit, the sign
     of a zero extreme included.
 
-    The native library (see ``_native``) builds the list in one pass over
-    the samples, one tuple per run of equal pairs; otherwise numpy computes
-    every window at once (``_scan.window_samples``) and the pairs are zipped
-    from its arrays. Either route first checks the decomposition against
-    the path: ``PathError`` ``stale-decomposition`` for another length,
-    ``bad-decomposition`` for triggers that no scan gives (counts that do
-    not alternate for ``first_direction``, times that do not strictly
-    increase, or a time outside ``[1, n)``).
+    Both routes walk the samples once from the window starts: the native
+    library (see ``_native``) builds the list, one tuple per run of equal
+    pairs, and otherwise a plain loop does, with a new tuple where the
+    extreme moves or a window starts. Either route first checks the
+    decomposition against the path: ``PathError`` ``stale-decomposition``
+    for another length, ``bad-decomposition`` for triggers that no scan
+    gives (counts that do not alternate for ``first_direction``, times that
+    do not strictly increase, or a time outside ``[1, n)``).
     """
     starts, direction = _window_starts(path, decomposition)
     lib = _native.library()
@@ -144,11 +142,24 @@ def running_extremes(
             values.ctypes.data, values.shape[0], starts.ctypes.data, starts.shape[0],
             direction == DOWN, *_LABELS,
         )
-    _, kinds, extreme, _ = window_samples(path.values, starts, direction)
+    n = path.n
+    up_label, down_label = _LABELS[UP], _LABELS[DOWN]
+    samples = memoryview(path.values)
+    starts = iter(memoryview(starts)[1:])
+    next_start = next(starts, n)
+    track_max = direction == DOWN  # in the undecided window; flips at each trigger
+    label, extreme = _LABELS[SEEK], samples[0]
+    pair = (label, extreme)
     out: list[tuple[str, float]] = []
-    for lo in range(0, path.n, _CHUNK):  # chunks keep the temporary lists small
-        hi = lo + _CHUNK
-        out += zip(_WINDOW_LABELS[kinds[lo:hi]].tolist(), extreme[lo:hi].tolist())
+    for j, v in enumerate(samples):
+        if j == next_start:
+            next_start = next(starts, n)
+            track_max = not track_max
+            label = up_label if track_max else down_label
+            extreme, pair = v, (label, v)
+        elif v > extreme if track_max else v < extreme:
+            extreme, pair = v, (label, v)
+        out.append(pair)
     return out
 
 

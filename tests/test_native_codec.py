@@ -6,7 +6,8 @@ outside its subset, so that ``read_path`` re-reads with the line parser.
 The loader must fall back to None, silently, when it cannot build or load,
 and must name its cached build by the source and the compiler flags. Its one
 function that makes Python objects, ``running_pairs``, must hold the GIL and
-leave no reference or memory behind.
+leave no reference or memory behind, and must leave the cyclic GC as enabled
+or disabled as it found it.
 """
 
 import ctypes
@@ -321,3 +322,22 @@ def test_running_pairs_raises_the_error_of_a_failed_allocation():
     # a list this long is refused before anything is allocated or read
     with pytest.raises(MemoryError):
         LIB.running_pairs(None, 2**62, None, 0, 0, *KIND_LABELS.values())
+
+
+@needs_lib
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_running_pairs_restores_the_gc_setting(enabled):
+    # the collector is paused while the list is built, and only re-enabled
+    # if it was on, after a finished list and after a failed allocation alike
+    path = make_path(np.arange(50.0), np.sin(np.arange(50.0)))
+    dec = detect_regimes(path, 0.5)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        running_extremes(path, dec)
+        assert gc.isenabled() is enabled
+        with pytest.raises(MemoryError):
+            LIB.running_pairs(None, 2**62, None, 0, 0, *KIND_LABELS.values())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

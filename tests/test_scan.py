@@ -2,18 +2,16 @@
 
 ``full_scan`` and ``regime_scan`` run the native trigger machine, and
 ``running_extremes`` the native ``running_pairs``, when the library loads
-(see ``_native``), and the Python kernel with numpy otherwise. The fields of ``full_scan``, and the regimes and running
-extremes of ``regime_detector``, must match ``full_scan_loop`` bit for bit
-(floats compared as int64 bit patterns), the sign of a zero included; those
-tests are marked ``both_routes``, so they run on each route, as do the
-oracle-free scaling and overflow tests. The unmarked
-``test_routes_agree_*`` tests and
-``test_running_extremes_routes_agree_on_corpus`` compare the two routes with
-each other,
-``test_every_sample_oscillator_fills_the_buffers`` checks the native
-machine's buffer bounds, its null outputs and its per-sample arrays, and
-``test_time_reversal_swaps_up_and_down`` checks the totals-only scan
-without an oracle.
+(see ``_native``), and their plain-Python routes otherwise. The fields of
+``full_scan``, and the regimes and running extremes of ``regime_detector``,
+must match ``full_scan_loop`` bit for bit (floats compared as int64 bit
+patterns), the sign of a zero included; those tests are marked
+``both_routes``, so they run on each route, as do the oracle-free scaling
+and overflow tests. The unmarked ``test_routes_agree_*`` tests compare the
+two routes with each other, ``test_every_sample_oscillator_fills_the_buffers``
+checks the native machine's buffer bounds, its null outputs and its
+per-sample arrays, and ``test_time_reversal_swaps_up_and_down`` checks the
+totals-only scan without an oracle.
 """
 
 import math
@@ -225,30 +223,42 @@ def test_time_reversal_swaps_up_and_down(vals, data):
 
 
 def assert_routes_agree(vals, c):
-    """``full_scan``, ``regime_scan`` and ``step_skeleton``: the native loops
-    give the numpy and Python routes' bits."""
+    """``full_scan``, ``regime_scan``, ``step_skeleton`` and
+    ``running_extremes``: the native loops give the Python routes' bits, and
+    the same kinds, floats and signs of zero pair by pair."""
     x = np.array(vals, dtype=np.float64)
     path = make_path(np.arange(x.size, dtype=float), x)
+    dec = detect_regimes(path, c)
+
+    def scans():
+        pairs = running_extremes(path, dec)
+        return full_scan(x, c), regime_scan(x, c), step_skeleton(path, c), pairs
+
     assert pathio.codec() == "native"  # unmarked: nothing patched the library away
-    native = full_scan(x, c), regime_scan(x, c), step_skeleton(path, c)
+    native = scans()
     with python_route():
-        ref = full_scan(x, c), regime_scan(x, c), step_skeleton(path, c)
+        ref = scans()
     for name, got, want in zip(ScanResult._fields, native[0], ref[0]):
         assert_same_bits(got, want, name)
     for name, got, want in zip(Regimes._fields, native[1], ref[1]):
         assert_same_bits(got, want, name)
     for name in ("times", "values"):
         assert_same_bits(getattr(native[2], name), getattr(ref[2], name), name)
+    assert len(native[3]) == len(ref[3]) == x.size
+    for (kind, e), (want_kind, want) in zip(native[3], ref[3]):
+        assert kind == want_kind and type(e) is float
+        assert e == want and math.copysign(1, e) == math.copysign(1, want)
 
 
 @needs_lib
 def test_routes_agree_on_corpus():
-    for path, c in mixed_corpus(60, seed=6161, max_len=200):
-        assert_routes_agree(path.values, c)
-        for step in np.abs(np.diff(path.values))[:3]:
-            if step > 0:  # triggers and skeleton breaks on equality
-                assert_routes_agree(path.values, float(step))
-                assert_routes_agree(path.values, 2.0 * float(step))
+    for seed in (6161, 6262):
+        for path, c in mixed_corpus(60, seed=seed, max_len=200):
+            assert_routes_agree(path.values, c)
+            for step in np.abs(np.diff(path.values))[:3]:
+                if step > 0:  # triggers and skeleton breaks on equality
+                    assert_routes_agree(path.values, float(step))
+                    assert_routes_agree(path.values, 2.0 * float(step))
 
 
 @needs_lib
@@ -256,32 +266,6 @@ def test_routes_agree_on_corpus():
 @settings(deadline=None, max_examples=300)
 def test_routes_agree_on_ties_and_signed_zeros(vals, c):
     assert_routes_agree(vals, c)
-
-
-def assert_extremes_agree(vals, c):
-    """``running_extremes``: the native list gives the Python route's kinds,
-    floats and signs of zero, pair by pair."""
-    x = np.array(vals, dtype=np.float64)
-    path = make_path(np.arange(x.size, dtype=float), x)
-    dec = detect_regimes(path, c)
-    assert pathio.codec() == "native"
-    native = running_extremes(path, dec)
-    with python_route():
-        ref = running_extremes(path, dec)
-    assert len(native) == len(ref) == x.size
-    for (kind, e), (want_kind, want) in zip(native, ref):
-        assert kind == want_kind and type(e) is float
-        assert e == want and math.copysign(1, e) == math.copysign(1, want)
-
-
-@needs_lib
-def test_running_extremes_routes_agree_on_corpus():
-    for path, c in mixed_corpus(60, seed=6262, max_len=200):
-        assert_extremes_agree(path.values, c)
-        for step in np.abs(np.diff(path.values))[:3]:
-            if step > 0:  # triggers on equality
-                assert_extremes_agree(path.values, float(step))
-                assert_extremes_agree(path.values, 2.0 * float(step))
 
 
 @needs_lib

@@ -23,7 +23,7 @@ from truncvar import (
     total_variation,
     truncated_variation,
 )
-from truncvar._scan import tv_scan
+from truncvar._scan import regime_scan, tv_scan
 
 from _oracles import (
     exhaustive_truncated,
@@ -264,6 +264,56 @@ def test_attainment_identity_on_corpus():
         assert total_variation(approx.approximation) == pytest.approx(
             r.tv, abs=1e-12
         )
+
+
+def assert_certified(path, c):
+    """The theorem's two halves in O(n), with no oracle. Every path within
+    c/2 of the samples has total variation at least
+    ``sum((|f(w[i+1]) - f(w[i])| - c)+)`` for any increasing indices w, and
+    ``lazy_approximation`` is such a path. The witnesses w are the first
+    sample of each window at the window's extreme, read off the triggers of
+    ``regime_scan`` and the skeleton; the lower bound and the achieved
+    variation must both meet ``tv`` within ``(k + 2) * eps`` times the
+    summed gaps and levels of the k-value skeleton."""
+    x = path.values
+    regimes = regime_scan(x, c)
+    starts = np.sort(np.concatenate([[0], regimes.up_times, regimes.down_times]))
+    skeleton = tv_scan(x, c, True)[3]
+    k = skeleton.size
+    window = np.repeat(np.arange(k), np.diff(np.append(starts, x.size)))
+    hits = np.flatnonzero(x == skeleton[window])
+    witnesses = hits[np.unique(window[hits], return_index=True)[1]]
+    assert witnesses.size == k and np.all(np.diff(witnesses) > 0)
+    assert np.array_equal(x[witnesses].view(np.int64), skeleton.view(np.int64))
+    lower = float(np.sum(np.maximum(np.abs(np.diff(x[witnesses])) - c, 0.0)))
+    upper = lazy_approximation(path, c).achieved_tv
+    tv = truncated_variation(path, c).tv
+    tol = (k + 2) * np.finfo(float).eps * (np.abs(np.diff(skeleton)).sum() + k * c)
+    assert abs(lower - tv) <= tol, (lower, tv, tol)
+    assert abs(upper - tv) <= tol, (upper, tv, tol)
+
+
+@pytest.mark.both_routes
+def test_optimality_certificate_on_corpus():
+    for path, c in mixed_corpus(1500, seed=1717, max_len=300):
+        assert_certified(path, c)
+
+
+@pytest.mark.both_routes
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("jump-mixture", 200_000, seed=16),
+        GeneratorSpec("random-walk", 200_000, seed=17),
+        GeneratorSpec(
+            "near-threshold-oscillator", 200_000, seed=18,
+            extra={"target_level": 1.0, "amplitude_ratio": 1.001},
+        ),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_optimality_certificate_at_benchmark_scale(spec):
+    assert_certified(generate(spec), 1.0)
 
 
 def test_sweep_shape_on_corpus():
