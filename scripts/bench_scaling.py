@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Scaling experiment for the one-pass scan, or for the CSV layer.
 
-Times the truncated-variation query across path sizes, prints a table and
-the log-log fit exponent (1.0 means linear), and compares the fast scan
+Times the truncated-variation query across path sizes once on each route
+(``native`` when the library builds, and ``python``), prints a table whose
+``route`` column names the route that ran, and the log-log fit exponent of
+each route (1.0 means linear), and compares the fast scan on each route
 against the quadratic oracle at a desk-scale size as a sanity check.
 
 With ``--io`` it times the CSV layer instead: at each size, the best of
 several runs of ``read_path``, ``write_path`` and ``write_columns`` (four
 columns), in ms and in MB/s of file text, on files in a temporary
-directory, once on each codec route (``native`` when the C++ codec builds,
-and ``python``); the ``codec`` column names the route that ran. For
-example::
+directory, once on each codec route; the ``codec`` column names the route
+that ran. For example::
 
+    PYTHONPATH=src python scripts/bench_scaling.py --sizes 100000 1000000
     PYTHONPATH=src python scripts/bench_scaling.py --io --sizes 10000 100000
 """
 
@@ -43,12 +45,16 @@ def best_time(fn, reps):
     return best
 
 
+def routes():
+    """Stand-ins for ``_native.library``: the native route when it builds, then python."""
+    lib = _native.library()
+    print(f"native library: {'built' if lib is not None else 'unavailable, python route only'}")
+    return [lambda: None] if lib is None else [lambda: lib, lambda: None]
+
+
 def io_table(sizes, seed):
     """Best-of-reps ms and MB/s of each CSV layer call at each size, per codec route."""
-    lib = _native.library()
-    # stand-ins for _native.library: the native route when it builds, then python
-    routes = [lambda: None] if lib is None else [lambda: lib, lambda: None]
-    print(f"native codec: {'built' if lib is not None else 'unavailable, python route only'}")
+    libraries = routes()
     print(f"{'n':>12} {'layer':>14} {'codec':>7} {'best_ms':>10} {'MB/s':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         src, dest = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
@@ -65,7 +71,7 @@ def io_table(sizes, seed):
                 ("write_columns", dest, lambda: write_columns(dest, header, columns)),
             ]
             for name, file, fn in layers:
-                for codec in routes:
+                for codec in libraries:
                     with mock.patch.object(_native, "library", codec):
                         ran = pathio.codec()
                         t = best_time(fn, reps)
@@ -84,22 +90,30 @@ def main():
         io_table(args.sizes, args.seed)
         return
 
+    libraries = routes()
     check = generate(GeneratorSpec("random-walk", 2000, seed=args.seed))
-    fast = truncated_variation(check, args.level)
     ref = oracle_truncated_variation(check, args.level)
-    print(f"oracle cross-check at n=2000: |tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
+    for library in libraries:
+        with mock.patch.object(_native, "library", library):
+            fast = truncated_variation(check, args.level)
+            print(f"oracle cross-check at n=2000 ({pathio.codec()}): "
+                  f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
-    times = []
-    print(f"{'n':>12} {'best_ms':>12} {'Msamples/s':>12}")
+    times = {}
+    print(f"{'n':>12} {'route':>7} {'best_ms':>12} {'Msamples/s':>12}")
     for n in args.sizes:
         path = generate(GeneratorSpec("random-walk", n, seed=args.seed))
         reps = max(3, 2_000_000 // n)
-        t = best_time(lambda: truncated_variation(path, args.level), reps)
-        times.append(t)
-        print(f"{n:>12,} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
+        for library in libraries:
+            with mock.patch.object(_native, "library", library):
+                route = pathio.codec()
+                t = best_time(lambda: truncated_variation(path, args.level), reps)
+            times.setdefault(route, []).append(t)
+            print(f"{n:>12,} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
     if len(args.sizes) >= 2:
-        slope = float(np.polyfit(np.log(args.sizes), np.log(times), 1)[0])
-        print(f"log-log fit exponent: {slope:.3f}")
+        for route, route_times in times.items():
+            slope = float(np.polyfit(np.log(args.sizes), np.log(route_times), 1)[0])
+            print(f"log-log fit exponent ({route}): {slope:.3f}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@
 This is the one list of what runs natively. The library holds:
 
 - the CSV codec of ``pathio`` (``format_rows`` and ``parse_rows``);
-- ``window_scan``, the trigger state machine of ``_scan.full_scan`` and
-  ``_scan.regime_scan``, which writes as it walks the samples only the
-  outputs it is handed (a null pointer skips one): the window starts and
-  the skeleton for ``regime_scan``, the per-sample arrays for ``full_scan``;
+- ``window_scan``, the trigger state machine of ``_scan.full_scan``,
+  ``_scan.regime_scan`` and the totals-only ``_scan.tv_scan`` (behind
+  ``truncated_variation``, the final sum of ``l1_upper_bound`` and the
+  CLI's ``tv`` and ``bench``), which writes as it walks the samples only
+  the outputs it is handed (a null pointer skips one): the window starts
+  and the skeleton for ``regime_scan``, the per-sample arrays for
+  ``full_scan``, nothing but the totals for ``tv_scan``;
 - ``running_pairs``, which builds the list of
   ``regime_detector.running_extremes`` from the validated window starts:
   the running extreme of each window and one (kind, extreme) tuple per
@@ -17,17 +20,18 @@ This is the one list of what runs natively. The library holds:
 ``running_pairs`` makes Python objects, so it is bound through a
 ``ctypes.PyDLL`` handle on the same file and holds the GIL while it runs;
 every other function is bound through ``ctypes.CDLL`` and releases the GIL.
-The totals-only ``_scan.tv_scan`` (behind ``truncated_variation``,
-``sweep`` and ``l1_upper_bound``) keeps the Python trigger kernel.
-``library()`` returns the loaded library, or None when it cannot be had;
-its callers then take their Python routes, which stay the reference, and
+The skeleton scan ``_scan.tv_scan(..., True)``, behind ``sweep``'s level
+ladder, keeps the Python trigger kernel. ``library()`` returns the loaded
+library, or None when it cannot be had; its callers then take their
+Python routes, which stay the reference, and
 ``pathio.codec()`` (the CLI's ``codec`` report key) names the route. The
 first call compiles the source with the system C++ compiler (``c++``,
 else ``g++``; C++17 ``<charconv>`` with floating-point
 ``to_chars``/``from_chars``, as in GCC 11 or later) into ``__pycache__``
 next to this file, under a name keyed by the machine and the CRC-32 of
 the source and the compiler flags, so an edited source or flag gets a
-fresh build and an unchanged one is built once per checkout.
+fresh build and an unchanged one is built once per checkout; a new build
+deletes the libraries of this machine built from earlier sources or flags.
 ``-ffp-contract=off`` keeps the compiler from fusing a multiply and an
 add, which would change the bits of the per-sample arrays where fused
 multiply-add is baseline. The build writes to a temporary name and then
@@ -106,7 +110,19 @@ def _build(lib_path: Path) -> bool:
                 continue
             if run.returncode == 0:
                 os.replace(tmp, lib_path)
+                _prune(lib_path)
                 return True
         return False
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _prune(lib_path: Path) -> None:
+    """Delete this machine's other cached libraries, which earlier sources or
+    flags built; other processes' ``*.tmp`` builds are left alone."""
+    for old in lib_path.parent.glob(f"_native-{os.uname().machine}-*.so"):
+        if old != lib_path:
+            try:
+                old.unlink()
+            except OSError:  # gone already, or not ours to remove
+                pass

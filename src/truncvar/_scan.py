@@ -13,12 +13,16 @@ inputs straddling the level by one ulp behave deterministically.
 There is one state machine, ``_window_scan``, and ``window_scan`` in
 ``_native.cpp`` makes the same comparisons and additions step for step;
 ``_native`` lists which scans run the native one, and ``_window_scan`` is
-its fallback and its reference. Both share one output contract: besides
-the totals, each machine records only what its caller asks for, the trigger
-indices and the skeleton (below), which it appends as it fires. The native
-one also writes ``full_scan``'s arrays from its state as it goes; on the
-Python route ``full_scan`` walks the samples again with the trigger indices
-and the skeleton in hand and makes the same operations on each sample.
+its fallback and its reference. Where the library loads, only the
+skeleton scan ``tv_scan(..., True)``, which ``truncated_variation.sweep``
+runs, keeps the Python machine; the totals-only ``tv_scan``,
+``regime_scan`` and ``full_scan`` run the native one. Both machines share
+one output contract: besides the totals, each records only what its
+caller asks for, the trigger indices and the skeleton (below), which it
+appends as it fires. The native one also writes ``full_scan``'s arrays
+from its state as it goes; on the Python route ``full_scan`` walks the
+samples again with the trigger indices and the skeleton in hand and makes
+the same operations on each sample.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
 order, then the extreme tracked when the samples run out (the running
@@ -165,8 +169,13 @@ def tv_scan(
     """Totals ``(up, down, direction)`` at level c, plus the level-c skeleton.
 
     The skeleton is None unless ``keep_skeleton`` is set; without it the
-    machine records nothing per trigger.
+    machine records nothing per trigger, and the totals come from the native
+    machine when the library loads. The skeleton scan runs ``_window_scan``.
     """
+    if not keep_skeleton:
+        lib = _native.library()
+        if lib is not None:
+            return (*_native_window_scan(lib, values, c)[:3], None)
     skeleton = array("d") if keep_skeleton else None
     up_total, down_total, direction = _window_scan(values, c, skeleton=skeleton)
     if skeleton is not None:

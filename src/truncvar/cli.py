@@ -9,8 +9,9 @@ totals off the curves' last entries, and ``decompose`` builds no band.
 Commands that read or write path files put ``codec`` before ``wall_ms``
 (``bench`` reports it too): ``native`` when the process loaded the native
 library and ``python`` when it runs the Python routes; ``_native`` lists
-what the library runs. The totals-only scan of ``tv``, ``sweep`` and
-``bench`` is not among it, so ``bench`` reports ``backend=python``. A file
+what the library runs. ``bench`` also reports ``backend``, the route of
+the totals-only scan it times, which is the same ``native``/``python``;
+the library is loaded before its clock starts. A file
 the native reader refuses is parsed by the Python line parser, still under
 ``codec=native``. They add ``read_ms`` (when a file was read), ``write_ms``
 (when files were written) and ``peak_rss_kb``, the process's peak resident
@@ -218,6 +219,7 @@ def _cmd_gen(args):
 
 def _cmd_bench(args):
     path = generate(GeneratorSpec(kind="random-walk", length=args.length, seed=args.seed))
+    route = codec()  # loads (on first use, builds) the library before the clock starts
     result, elapsed_ms = _timed(truncated_variation, path, args.level)
     return [
         ("command", "bench"),
@@ -226,8 +228,8 @@ def _cmd_bench(args):
         ("utv", result.utv),
         ("dtv", result.dtv),
         ("tv", result.tv),
-        ("backend", "python"),
-        ("codec", codec()),
+        ("backend", route),
+        ("codec", route),
         ("elapsed_ms", elapsed_ms),
         ("samples_per_second", path.n * 1e3 / elapsed_ms if elapsed_ms > 0 else float("inf")),
         ("wall_ms", elapsed_ms),

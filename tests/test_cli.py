@@ -16,7 +16,7 @@ from truncvar import (
     truncated_variation,
     zero_start_approximation,
 )
-from truncvar import pathio
+from truncvar import _native, cli, pathio
 from truncvar.cli import main
 from truncvar.pathio import FileFormatError, read_path, write_path
 
@@ -226,13 +226,24 @@ class TestGenCommand:
         assert rows == ["time,value", "0.0,0.0", "1.0,1.0", "2.0,2.0"]
 
 
+@pytest.mark.both_routes
 class TestBenchCommand:
     def test_small_bench_reports_throughput(self, capsys):
         assert main(["bench", "--length", "20000", "--seed", "1"]) == 0
         rep = report_of(capsys)
         assert float(rep["samples_per_second"]) > 0
         assert rep["n"] == "20000"
-        assert rep["backend"] == "python"
+        assert rep["backend"] == rep["codec"] == pathio.codec()
+
+    def test_library_loads_before_the_clock_starts(self, monkeypatch, capsys):
+        # a first use may build the library; that must not land in elapsed_ms
+        events = []
+        library, timed = _native.library, cli._timed
+        monkeypatch.setattr(_native, "library", lambda: events.append("library") or library())
+        monkeypatch.setattr(cli, "_timed", lambda *a: events.append("clock") or timed(*a))
+        assert main(["bench", "--length", "2000", "--seed", "1"]) == 0
+        assert events.count("clock") == 1
+        assert "library" in events[: events.index("clock")]
 
 
 @pytest.mark.both_routes

@@ -262,6 +262,24 @@ def test_build_is_cached_by_source_and_safe_in_parallel(loader, tmp_path):
     assert _native.library() is not None
 
 
+@needs_lib
+def test_a_build_prunes_libraries_of_earlier_sources(loader, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    machine = os.uname().machine
+    stale = [cache / f"_native-{machine}-{key}.so" for key in ("00000000", "ffffffff")]
+    kept = [
+        cache / f"_native-{machine}-12345678.so.4242.tmp",  # another process's build
+        cache / "_native-other-machine-12345678.so",
+        cache / "notes.txt",
+    ]
+    for file in stale + kept:
+        file.write_bytes(b"not a shared object")
+    assert _native.library() is not None
+    name = _native._library_name(_native._SOURCE.read_bytes(), _native._FLAGS)
+    assert sorted(os.listdir(cache)) == sorted([name, *(file.name for file in kept)])
+
+
 def test_library_name_is_keyed_by_source_and_flags():
     source = _native._SOURCE.read_bytes()
     name = _native._library_name(source, _native._FLAGS)

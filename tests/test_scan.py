@@ -1,17 +1,18 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
-``full_scan`` and ``regime_scan`` run the native trigger machine, and
-``running_extremes`` the native ``running_pairs``, when the library loads
-(see ``_native``), and their plain-Python routes otherwise. The fields of
+``full_scan``, ``regime_scan`` and the totals-only ``tv_scan`` run the
+native trigger machine, and ``running_extremes`` the native
+``running_pairs``, when the library loads (see ``_native``), and their
+plain-Python routes otherwise. The fields of
 ``full_scan``, and the regimes and running extremes of ``regime_detector``,
 must match ``full_scan_loop`` bit for bit (floats compared as int64 bit
 patterns), the sign of a zero included; those tests are marked
-``both_routes``, so they run on each route, as do the oracle-free scaling
-and overflow tests. The unmarked ``test_routes_agree_*`` tests compare the
-two routes with each other, ``test_every_sample_oscillator_fills_the_buffers``
-checks the native machine's buffer bounds, its null outputs and its
-per-sample arrays, and ``test_time_reversal_swaps_up_and_down`` checks the
-totals-only scan without an oracle.
+``both_routes``, so they run on each route, as do the oracle-free scaling,
+overflow and time-reversal tests (the last checks the totals-only scan
+without an oracle). The unmarked ``test_routes_agree_*`` tests compare the
+two routes with each other, and
+``test_every_sample_oscillator_fills_the_buffers`` checks the native
+machine's buffer bounds, its null outputs and its per-sample arrays.
 """
 
 import math
@@ -161,7 +162,7 @@ def test_non_contiguous_values():
 
 
 @pytest.mark.both_routes
-@pytest.mark.parametrize("scan", [full_scan, regime_scan])
+@pytest.mark.parametrize("scan", [full_scan, regime_scan, tv_scan])
 def test_tv_overflow(scan):
     x = np.array([0.0, 9e307, 0.0])  # up and down fit float64, up + down does not
     with pytest.raises(PathError) as err:
@@ -196,6 +197,9 @@ def test_scaling_by_powers_of_two(vals, data):
         assert_same_bits(got[:2], np.array([up, down]) * s, "tv_scan totals")
         assert got[2] == direction
         assert_same_bits(got[3], skeleton * s, "skeleton")
+        got = tv_scan(x * s, c * s)  # totals only: the native machine where it loads
+        assert_same_bits(got[:2], np.array([up, down]) * s, "totals-only tv_scan")
+        assert got[2] == direction and got[3] is None
         got = detect_regimes(make_path(np.arange(x.size, dtype=float), x * s), c * s)
         assert got.first_direction == regimes.first_direction
         assert_same_bits(got.up_times, regimes.up_times, "up_times")
@@ -204,11 +208,14 @@ def test_scaling_by_powers_of_two(vals, data):
         assert_same_bits(got.highs, regimes.highs * s, "highs")
 
 
+@pytest.mark.both_routes
 @given(values_st, st.data())
 @settings(deadline=None, max_examples=300)
 def test_time_reversal_swaps_up_and_down(vals, data):
     """Reversing the samples turns every rise into a fall, so ``tv_scan`` of
-    the reversed path gives (down, up) of the path up to rounding. Each
+    the reversed path gives (down, up) of the path up to rounding. The
+    reversed path is a view with a negative stride, which the totals-only
+    scan takes as it is on the Python route and copies on the native. Each
     total is a left-to-right sum of k - 1 terms ``(hi - lo) - c``, one per
     gap of the k-value skeleton, added in the opposite order on the other
     side; the recursive-summation bound puts each side within k * eps/2
@@ -223,16 +230,18 @@ def test_time_reversal_swaps_up_and_down(vals, data):
 
 
 def assert_routes_agree(vals, c):
-    """``full_scan``, ``regime_scan``, ``step_skeleton`` and
-    ``running_extremes``: the native loops give the Python routes' bits, and
-    the same kinds, floats and signs of zero pair by pair."""
+    """``full_scan``, ``regime_scan``, ``step_skeleton``, ``running_extremes``
+    and the totals-only ``tv_scan``: the native loops give the Python routes'
+    bits, the same direction, and the same kinds, floats and signs of zero
+    pair by pair."""
     x = np.array(vals, dtype=np.float64)
     path = make_path(np.arange(x.size, dtype=float), x)
     dec = detect_regimes(path, c)
 
     def scans():
         pairs = running_extremes(path, dec)
-        return full_scan(x, c), regime_scan(x, c), step_skeleton(path, c), pairs
+        totals = tv_scan(x, c)
+        return full_scan(x, c), regime_scan(x, c), step_skeleton(path, c), pairs, totals
 
     assert pathio.codec() == "native"  # unmarked: nothing patched the library away
     native = scans()
@@ -248,6 +257,9 @@ def assert_routes_agree(vals, c):
     for (kind, e), (want_kind, want) in zip(native[3], ref[3]):
         assert kind == want_kind and type(e) is float
         assert e == want and math.copysign(1, e) == math.copysign(1, want)
+    assert_same_bits(native[4][:2], ref[4][:2], "tv_scan totals")
+    assert native[4][2] == ref[4][2] and native[4][3] is ref[4][3] is None
+    assert all(type(t) is float for t in native[4][:2]) and type(native[4][2]) is int
 
 
 @needs_lib

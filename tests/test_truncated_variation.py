@@ -49,6 +49,7 @@ small_values_st = st.lists(
 )
 
 
+@pytest.mark.both_routes  # the totals-only scan
 class TestFastPath:
     def test_golden(self, p1):
         r = truncated_variation(p1, 0.6)
@@ -197,6 +198,7 @@ class TestL1UpperBound:
         assert sum(split) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.both_routes
 @given(values_st, level_st)
 @settings(deadline=None, max_examples=60)
 def test_fast_matches_oracle(vals, c):
@@ -593,6 +595,7 @@ def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
         assert scans == want
 
 
+@pytest.mark.both_routes
 def test_total_overflow_is_a_path_error_without_warnings():
     # every increment is finite; the sum of the rises (or of up and down) is not
     paths = [
