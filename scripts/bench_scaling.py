@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Scaling experiment for the one-pass scan, or for the CSV layer.
 
-Times the truncated-variation query across path sizes once on each route
-(``native`` when the library builds, and ``python``), prints a table whose
-``route`` column names the route that ran, and the log-log fit exponent of
+Times two queries across path sizes once on each route (``native`` when
+the library builds, and ``python``): ``truncated_variation``, the
+totals-only scan, and ``prefix_curves``, which runs ``full_scan`` and
+so writes the per-sample arrays. It prints a table whose ``route`` column
+names the route that ran, and the log-log fit exponent of each query on
 each route (1.0 means linear), and compares the fast scan on each route
 against the quadratic oracle at a desk-scale size as a sanity check.
 
@@ -30,6 +32,7 @@ from truncvar import (
     GeneratorSpec,
     generate,
     oracle_truncated_variation,
+    prefix_curves,
     truncated_variation,
 )
 from truncvar import _native, pathio
@@ -99,21 +102,23 @@ def main():
             print(f"oracle cross-check at n=2000 ({pathio.codec()}): "
                   f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
+    queries = {"truncated_variation": truncated_variation, "prefix_curves": prefix_curves}
     times = {}
-    print(f"{'n':>12} {'route':>7} {'best_ms':>12} {'Msamples/s':>12}")
+    print(f"{'n':>12} {'query':>20} {'route':>7} {'best_ms':>12} {'Msamples/s':>12}")
     for n in args.sizes:
         path = generate(GeneratorSpec("random-walk", n, seed=args.seed))
         reps = max(3, 2_000_000 // n)
-        for library in libraries:
-            with mock.patch.object(_native, "library", library):
-                route = pathio.codec()
-                t = best_time(lambda: truncated_variation(path, args.level), reps)
-            times.setdefault(route, []).append(t)
-            print(f"{n:>12,} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
+        for name, query in queries.items():
+            for library in libraries:
+                with mock.patch.object(_native, "library", library):
+                    route = pathio.codec()
+                    t = best_time(lambda: query(path, args.level), reps)
+                times.setdefault((name, route), []).append(t)
+                print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
     if len(args.sizes) >= 2:
-        for route, route_times in times.items():
+        for (name, route), route_times in times.items():
             slope = float(np.polyfit(np.log(args.sizes), np.log(route_times), 1)[0])
-            print(f"log-log fit exponent ({route}): {slope:.3f}")
+            print(f"log-log fit exponent ({name}, {route}): {slope:.3f}")
 
 
 if __name__ == "__main__":

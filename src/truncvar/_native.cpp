@@ -181,7 +181,8 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 }
 
 // The trigger state machine of truncvar._scan._window_scan at level c, step
-// for step: strict running extremes, exact >= threshold tests and left-to-right
+// for step and with the same contract, so truncvar._scan._machine calls
+// either: strict running extremes, exact >= threshold tests and left-to-right
 // sums. Where starts is not null, writes the window starts [0, t0, t1, ...]
 // into it; where skeleton is not null, the extreme each window ends on: the
 // anchor at each trigger, then the final tracked extreme (the running minimum

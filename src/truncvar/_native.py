@@ -6,10 +6,12 @@ This is the one list of what runs natively. The library holds:
 - ``window_scan``, the trigger state machine of ``_scan.full_scan``,
   ``_scan.regime_scan`` and the totals-only ``_scan.tv_scan`` (behind
   ``truncated_variation``, the final sum of ``l1_upper_bound`` and the
-  CLI's ``tv`` and ``bench``), which writes as it walks the samples only
-  the outputs it is handed (a null pointer skips one): the window starts
-  and the skeleton for ``regime_scan``, the per-sample arrays for
-  ``full_scan``, nothing but the totals for ``tv_scan``;
+  CLI's ``tv`` and ``bench``), all three run through ``_scan._machine``.
+  It shares its contract with the Python machine ``_scan._window_scan``:
+  as it walks the samples it writes only the outputs it is handed (a null
+  pointer skips one), the window starts and the skeleton for
+  ``regime_scan``, the per-sample arrays for ``full_scan``, nothing but
+  the totals for ``tv_scan``;
 - ``running_pairs``, which builds the list of
   ``regime_detector.running_extremes`` from the validated window starts:
   the running extreme of each window and one (kind, extreme) tuple per
@@ -21,7 +23,7 @@ This is the one list of what runs natively. The library holds:
 ``ctypes.PyDLL`` handle on the same file and holds the GIL while it runs;
 every other function is bound through ``ctypes.CDLL`` and releases the GIL.
 The skeleton scan ``_scan.tv_scan(..., True)``, behind ``sweep``'s level
-ladder, keeps the Python trigger kernel. ``library()`` returns the loaded
+ladder, keeps the Python machine. ``library()`` returns the loaded
 library, or None when it cannot be had; its callers then take their
 Python routes, which stay the reference, and
 ``pathio.codec()`` (the CLI's ``codec`` report key) names the route. The

@@ -12,17 +12,15 @@ inputs straddling the level by one ulp behave deterministically.
 
 There is one state machine, ``_window_scan``, and ``window_scan`` in
 ``_native.cpp`` makes the same comparisons and additions step for step;
-``_native`` lists which scans run the native one, and ``_window_scan`` is
-its fallback and its reference. Where the library loads, only the
-skeleton scan ``tv_scan(..., True)``, which ``truncated_variation.sweep``
-runs, keeps the Python machine; the totals-only ``tv_scan``,
-``regime_scan`` and ``full_scan`` run the native one. Both machines share
-one output contract: besides the totals, each records only what its
-caller asks for, the trigger indices and the skeleton (below), which it
-appends as it fires. The native one also writes ``full_scan``'s arrays
-from its state as it goes; on the Python route ``full_scan`` walks the
-samples again with the trigger indices and the skeleton in hand and makes
-the same operations on each sample.
+``_window_scan`` is its fallback and its reference. Both have one contract:
+besides the totals, each writes by index only the buffers its caller hands
+it, the window starts and the skeleton (below), and ``full_scan``'s arrays
+from the state each sample leaves, so every scan is one walk of the
+samples on either route. ``_machine`` runs the native one when the library
+loads and ``_window_scan`` otherwise; the totals-only ``tv_scan``,
+``regime_scan`` and ``full_scan`` go through it. Only the skeleton scan
+``tv_scan(..., True)``, which ``truncated_variation.sweep`` runs, calls
+``_window_scan`` on either route.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
 order, then the extreme tracked when the samples run out (the running
@@ -64,7 +62,6 @@ right, which keeps reruns bit-reproducible.
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -81,27 +78,67 @@ DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
 KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
-def _window_scan(values, c, starts=None, skeleton=None):
-    """``(up, down, direction)``: the totals at level c.
+def _window_scan(values, c, starts=None, skeleton=None, out=None):
+    """``(up, down, direction, k)``: the totals at level c and the window count.
 
-    The one state machine. It walks the samples as Python floats, the same
-    IEEE double operations as on numpy scalars, in O(1) working memory
-    besides the buffers it is given: ``starts`` (an int64 ``array``) gets
-    the sample index of every trigger appended, and ``skeleton`` (a float64
-    ``array``) the anchor at every trigger and then the final tracked
-    extreme. Where a buffer is None nothing is recorded for it.
+    The one state machine, with the contract of ``window_scan`` in
+    ``_native.cpp``. It walks the samples as Python floats, the same IEEE
+    double operations as on numpy scalars, in O(1) working memory besides
+    the buffers it is given, and writes them by index through memoryviews:
+    the window starts ``[0, t0, t1, ...]`` into ``starts`` (int64) and the
+    skeleton into ``skeleton`` (float64), which hold n + 1 entries of which
+    the k first are written, and into ``out`` (n entries each) the
+    ``approx``, ``up`` and ``down`` of ``full_scan`` from the state each
+    sample leaves; the undecided window gets ``up = down = 0.0`` and the
+    band of its final extreme. A buffer that is None is skipped. The
+    totals are not checked here; its callers run ``checked_total``.
     """
     c = float(c)
+    half = c / 2.0
     samples = memoryview(values)
-    add_start = None if starts is None else starts.append
-    add_extreme = None if skeleton is None else skeleton.append
+    if starts is not None:
+        starts = memoryview(starts)
+        starts[0] = 0
+    if skeleton is not None:
+        skeleton = memoryview(skeleton)
+    write = out is not None
+    if write:
+        approx, up, down = (memoryview(a) for a in out)
     run_min = run_max = samples[0]
     phase = direction = SEEK
     up_total = down_total = 0.0
     anchor_min = 0.0  # valley extreme the open peak regime started from
     anchor_max = 0.0  # peak extreme the open valley regime started from
+    seek_end, w = len(samples), 0  # w: the index of the open window
+    # the undecided phase is tested last: it is rarely live after the first trigger
     for j, v in enumerate(samples):
-        if phase == SEEK:
+        if phase == UP:
+            if v > run_max:
+                run_max = v
+            if not run_max - v >= c:
+                if write:
+                    approx[j] = run_max - half
+                    up[j] = up_total + ((run_max - anchor_min) - c)
+                    down[j] = down_total
+                continue
+            up_total = up_total + ((run_max - anchor_min) - c)
+            anchor = anchor_max = run_max
+            phase = DOWN
+            run_min = v
+        elif phase == DOWN:
+            if v < run_min:
+                run_min = v
+            if not v - run_min >= c:
+                if write:
+                    approx[j] = run_min + half
+                    up[j] = up_total
+                    down[j] = down_total + ((anchor_max - run_min) - c)
+                continue
+            down_total = down_total + ((anchor_max - run_min) - c)
+            anchor = anchor_min = run_min
+            phase = UP
+            run_max = v
+        else:
             if v < run_min:
                 run_min = v
             if v > run_max:
@@ -109,44 +146,43 @@ def _window_scan(values, c, starts=None, skeleton=None):
             if v - run_min >= c:
                 direction = phase = UP
                 anchor = anchor_min = run_min
+                seek_band = anchor + half
                 run_max = v
             elif run_max - v >= c:
                 direction = phase = DOWN
                 anchor = anchor_max = run_max
+                seek_band = anchor - half
                 run_min = v
             else:
-                continue
-        elif phase == UP:
-            if v > run_max:
-                run_max = v
-            if not run_max - v >= c:
-                continue
-            up_total = up_total + ((run_max - anchor_min) - c)
-            anchor = anchor_max = run_max
-            phase = DOWN
-            run_min = v
-        else:
-            if v < run_min:
-                run_min = v
-            if not v - run_min >= c:
-                continue
-            down_total = down_total + ((anchor_max - run_min) - c)
-            anchor = anchor_min = run_min
-            phase = UP
-            run_max = v
+                continue  # up and down stay 0.0, set with the band below
+            seek_end = j
         # sample j fired a trigger; anchor is the extreme of the window it closes
-        if add_start:
-            add_start(j)
-        if add_extreme:
-            add_extreme(anchor)
+        if skeleton is not None:
+            skeleton[w] = anchor
+        w += 1
+        if starts is not None:
+            starts[w] = j
+        if write:  # the new window's extreme is v
+            if phase == UP:
+                approx[j] = run_max - half
+                up[j] = up_total + ((run_max - anchor_min) - c)
+                down[j] = down_total
+            else:
+                approx[j] = run_min + half
+                up[j] = up_total
+                down[j] = down_total + ((anchor_max - run_min) - c)
     if phase == UP:
         up_total = up_total + ((run_max - anchor_min) - c)
     elif phase == DOWN:
         down_total = down_total + ((anchor_max - run_min) - c)
-    if add_extreme:
-        add_extreme(run_max if phase == UP else run_min)
-    checked_total(up_total + down_total)
-    return up_total, down_total, direction
+    if skeleton is not None:
+        skeleton[w] = run_max if phase == UP else run_min
+    if write:  # the undecided window holds the band of its final extreme
+        if w == 0:
+            seek_band = run_min + half
+        for a, fill in zip(out, (seek_band, 0.0, 0.0)):
+            a[:seek_end] = fill
+    return up_total, down_total, direction, w + 1
 
 
 class ScanResult(NamedTuple):
@@ -163,24 +199,47 @@ class Regimes(NamedTuple):
     direction: int
 
 
+def _machine(values, c, starts=None, skeleton=None, out=None):
+    """``(up, down, direction, k)`` from the native trigger machine when the
+    library loads, else from ``_window_scan``; both write the same buffers
+    (see ``_window_scan``). Raises ``tv-overflow`` when ``up + down``
+    overflows.
+    """
+    lib = _native.library()
+    if lib is None:
+        up_total, down_total, direction, k = _window_scan(values, c, starts, skeleton, out)
+    else:
+        values = np.ascontiguousarray(values, np.float64)
+        buffers = (None if a is None else a.ctypes.data for a in (starts, skeleton))
+        arrays = (None,) * 3 if out is None else (a.ctypes.data for a in out)
+        totals = np.empty(3)
+        k = lib.window_scan(
+            values.ctypes.data, values.shape[0], c, *buffers, *arrays, totals.ctypes.data
+        )
+        up_total, down_total, direction = totals.tolist()
+        direction = int(direction)
+    checked_total(up_total + down_total)
+    return up_total, down_total, direction, k
+
+
 def tv_scan(
     values: np.ndarray, c: float, keep_skeleton: bool = False
 ) -> tuple[float, float, int, np.ndarray | None]:
     """Totals ``(up, down, direction)`` at level c, plus the level-c skeleton.
 
     The skeleton is None unless ``keep_skeleton`` is set; without it the
-    machine records nothing per trigger, and the totals come from the native
-    machine when the library loads. The skeleton scan runs ``_window_scan``.
+    machine records nothing per trigger.
     """
     if not keep_skeleton:
-        lib = _native.library()
-        if lib is not None:
-            return (*_native_window_scan(lib, values, c)[:3], None)
-    skeleton = array("d") if keep_skeleton else None
-    up_total, down_total, direction = _window_scan(values, c, skeleton=skeleton)
-    if skeleton is not None:
-        skeleton = np.frombuffer(skeleton)
-    return up_total, down_total, direction, skeleton
+        return (*_machine(values, c)[:3], None)
+    # The skeleton scan behind sweep's ladder stays on the Python machine
+    # until the benchmark's per-call bookkeeping stops growing its peak
+    # memory with the call count, which a faster ladder would read as a
+    # regression (ROADMAP items 1 and 2).
+    skeleton = np.empty(values.shape[0] + 1)
+    up_total, down_total, direction, k = _window_scan(values, c, skeleton=skeleton)
+    checked_total(up_total + down_total)
+    return up_total, down_total, direction, skeleton[:k]
 
 
 def _alternate(a, direction):
@@ -190,41 +249,14 @@ def _alternate(a, direction):
     return a[first::2].copy(), a[1 - first :: 2].copy()
 
 
-def _native_window_scan(lib, values, c, starts=None, skeleton=None, out=None):
-    """``(up, down, direction, k)`` from the library's trigger machine, which
-    makes ``_window_scan``'s comparisons and additions step for step. Where
-    they are given, it writes the window starts ``[0, t0, t1, ...]`` and the
-    skeleton into the k first entries of ``starts`` and ``skeleton``, which
-    hold n + 1, and ``full_scan``'s arrays into ``out``, a ``ScanResult`` of
-    n-entry arrays. Raises ``tv-overflow`` as ``_window_scan`` does.
-    """
-    values = np.ascontiguousarray(values, np.float64)
-    buffers = (None if a is None else a.ctypes.data for a in (starts, skeleton))
-    arrays = (None,) * 3 if out is None else (a.ctypes.data for a in out)
-    totals = np.empty(3)
-    k = lib.window_scan(
-        values.ctypes.data, values.shape[0], c, *buffers, *arrays, totals.ctypes.data
-    )
-    up_total, down_total, direction = totals.tolist()
-    checked_total(up_total + down_total)
-    return up_total, down_total, int(direction), k
-
-
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
-    lib = _native.library()
-    if lib is not None:
-        # at most one trigger per sample; pages past the k entries written stay untouched
-        n = values.shape[0]
-        starts, skeleton = np.empty(n + 1, np.int64), np.empty(n + 1)
-        _, _, direction, k = _native_window_scan(lib, values, c, starts, skeleton)
-        starts, skeleton = starts[:k], skeleton[:k]
-    else:
-        starts, skeleton = array("q", [0]), array("d")
-        _, _, direction = _window_scan(values, c, starts, skeleton)
-        starts, skeleton = np.frombuffer(starts, np.int64), np.frombuffer(skeleton)
-    up_times, down_times = _alternate(starts[1:], direction)
-    return Regimes(up_times, down_times, *_alternate(skeleton, direction), direction)
+    # at most one trigger per sample; pages past the k entries written stay untouched
+    n = values.shape[0]
+    starts, skeleton = np.empty(n + 1, np.int64), np.empty(n + 1)
+    _, _, direction, k = _machine(values, c, starts, skeleton)
+    up_times, down_times = _alternate(starts[1:k], direction)
+    return Regimes(up_times, down_times, *_alternate(skeleton[:k], direction), direction)
 
 
 def full_scan(values: np.ndarray, c: float) -> ScanResult:
@@ -232,50 +264,9 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
 
     ``approx`` is the flattest in-band path (tracked extreme shifted by
     ``c/2`` toward the data), ``up``/``down`` are the cumulative
-    nondecreasing components. The native trigger machine writes them as it
-    goes. On the Python route ``_window_scan`` records the triggers and the
-    skeleton, and one more pass over the samples makes the native machine's
-    operations on each one: a strict running extreme restarted at each
-    trigger, ``extreme -+ c/2``, ``closed + ((extreme - anchor) - c)``, and
-    the closed totals added left to right from the skeleton.
+    nondecreasing components. The trigger machine writes them as it goes.
     """
     n = values.shape[0]
     out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
-    lib = _native.library()
-    if lib is not None:
-        _native_window_scan(lib, values, c, out=out)
-        return out
-    starts, skeleton = array("q"), array("d")
-    _, _, direction = _window_scan(values, c, starts, skeleton)
-    half = c / 2.0
-    # the undecided window holds the band of its final extreme, skeleton[0]
-    seek_end = starts[0] if starts else n
-    out.approx[:seek_end] = skeleton[0] - half if direction == DOWN else skeleton[0] + half
-    out.up[:seek_end] = out.down[:seek_end] = 0.0
-    approx, up, down = (memoryview(a) for a in out)
-    triggers, anchors = iter(starts), iter(skeleton)
-    next_start = next(triggers, n)
-    up_total = down_total = anchor = 0.0
-    for j, v in enumerate(memoryview(values)[seek_end:], seek_end):
-        if j == next_start:  # a trigger: the window before it ends on the next anchor
-            next_start = next(triggers, n)
-            closed, anchor = anchor, next(anchors)
-            if j == seek_end:
-                peak = direction == UP
-            elif peak:
-                up_total = up_total + ((anchor - closed) - c)
-                peak = False
-            else:
-                down_total = down_total + ((closed - anchor) - c)
-                peak = True
-            moved = True
-        else:
-            moved = v > extreme if peak else v < extreme
-        if moved:  # the three outputs change only with the tracked extreme
-            extreme = v
-            if peak:
-                band, rise, fall = v - half, up_total + ((v - anchor) - c), down_total
-            else:
-                band, rise, fall = v + half, up_total, down_total + ((anchor - v) - c)
-        approx[j], up[j], down[j] = band, rise, fall
+    _machine(values, c, out=out)
     return out

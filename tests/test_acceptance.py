@@ -29,10 +29,12 @@ from truncvar import (
     uniform_stream,
     zero_start_approximation,
 )
+from truncvar._scan import full_scan, tv_scan
 from truncvar.cli import main
 from truncvar.pathio import read_path, write_path
 
 from _oracles import exhaustive_truncated, mixed_corpus
+from conftest import python_route
 
 CORPUS = mixed_corpus(1000, seed=20260810, max_len=200)
 SMALL = mixed_corpus(200, seed=31415, min_len=2, max_len=12)
@@ -241,6 +243,32 @@ def test_criterion_7_linear_scaling():
         f" (fit exponent {slope:.3f}; 1e7 samples in {times[-1]*1e3:.1f} ms, "
         f"soft 1s target {soft})",
     )
+
+
+def test_criterion_7_linear_scaling_python_route():
+    # The Python machine: full_scan writes every sample, and the skeleton scan
+    # every trigger, by index into preallocated buffers. Each round times every
+    # size in CPU time, so a busy machine slows the sizes of a round alike, and
+    # the fit exponent is the median of the rounds' exponents.
+    sizes = [2 * 10**4, 10**5, 5 * 10**5]
+    paths = [generate(GeneratorSpec("random-walk", n, seed=0)).values for n in sizes]
+    scans = {"full_scan": full_scan, "skeleton tv_scan": lambda x, c: tv_scan(x, c, True)}
+    slopes = {}
+    with python_route():
+        for name, scan in scans.items():
+            scan(paths[0], 1.0)  # warm-up stays out of the timing
+            rounds = []
+            for _ in range(5):
+                times = []
+                for values in paths:
+                    t0 = time.process_time()
+                    scan(values, 1.0)
+                    times.append(time.process_time() - t0)
+                rounds.append(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+            slopes[name] = float(np.median(rounds))
+    ok = all(0.9 <= slope <= 1.1 for slope in slopes.values())
+    detail = ", ".join(f"{name} {slope:.3f}" for name, slope in slopes.items())
+    _finish(7, "linear scaling on the Python route", ok, f" (fit exponents: {detail})")
 
 
 def _quiet_main(argv) -> int:

@@ -11,8 +11,10 @@ patterns), the sign of a zero included; those tests are marked
 overflow and time-reversal tests (the last checks the totals-only scan
 without an oracle). The unmarked ``test_routes_agree_*`` tests compare the
 two routes with each other, and
-``test_every_sample_oscillator_fills_the_buffers`` checks the native
-machine's buffer bounds, its null outputs and its per-sample arrays.
+``test_every_sample_oscillator_fills_the_buffers`` checks the buffer
+contract the two machines share: bounds, null outputs and per-sample
+arrays, on the ctypes ``window_scan`` (through ``_machine``) and on
+``_window_scan``.
 """
 
 import math
@@ -24,7 +26,6 @@ from hypothesis import strategies as st
 
 from truncvar import (
     PathError,
-    _native,
     detect_regimes,
     make_path,
     pathio,
@@ -37,6 +38,8 @@ from truncvar._scan import (
     KIND_LABELS,
     Regimes,
     ScanResult,
+    _machine,
+    _window_scan,
     full_scan,
     regime_scan,
     tv_scan,
@@ -280,8 +283,15 @@ def test_routes_agree_on_ties_and_signed_zeros(vals, c):
     assert_routes_agree(vals, c)
 
 
-@needs_lib
-def test_every_sample_oscillator_fills_the_buffers():
+@pytest.mark.parametrize(
+    "machine",
+    [
+        # _machine runs the ctypes window_scan where the library loads
+        pytest.param(_machine, marks=needs_lib, id="native"),
+        pytest.param(_window_scan, id="python"),
+    ],
+)
+def test_every_sample_oscillator_fills_the_buffers(machine):
     # at c = 1 every sample after the first triggers: k = n windows, and the
     # skeleton is the path itself; the entry past them stays unwritten, and
     # the per-sample arrays fill their n entries and no more
@@ -290,16 +300,12 @@ def test_every_sample_oscillator_fills_the_buffers():
     starts = np.full(n + 1, -7, np.int64)
     skeleton = np.full(n + 1, -7.0)
     arrays = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
-    totals = np.empty(3)
-    k = _native.library().window_scan(
-        x.ctypes.data, n, 1.0, starts.ctypes.data, skeleton.ctypes.data,
-        *(a.ctypes.data for a in arrays), totals.ctypes.data,
-    )
+    *totals, k = machine(x, 1.0, starts, skeleton, arrays)
     assert k == n
     assert_same_bits(starts[:n], np.arange(n, dtype=np.int64))
     assert_same_bits(skeleton[:n], x)
     assert starts[n] == -7 and skeleton[n] == -7.0
-    assert totals.tolist() == [0.0, 0.0, 1.0]
+    assert totals == [0.0, 0.0, 1.0]
     for name, got, want in zip(ScanResult._fields, arrays, full_scan_loop(x, 1.0)):
         assert_same_bits(got[:n], want, name)
         assert got[n] == -7.0, name
@@ -307,11 +313,7 @@ def test_every_sample_oscillator_fills_the_buffers():
     for keep_skeleton in (True, False):
         again = np.full(n + 1, -7.0)
         others = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
-        totals_again = np.empty(3)
-        k = _native.library().window_scan(
-            x.ctypes.data, n, 1.0, None, again.ctypes.data if keep_skeleton else None,
-            *(a.ctypes.data for a in others), totals_again.ctypes.data,
-        )
+        *totals_again, k = machine(x, 1.0, None, again if keep_skeleton else None, others)
         assert k == n
         assert_same_bits(totals_again, totals)
         assert_same_bits(again, skeleton if keep_skeleton else np.full(n + 1, -7.0))
