@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Scaling experiment for the one-pass scan, or for the CSV layer.
 
-Times two queries across path sizes once on each route (``native`` when
-the library builds, and ``python``): ``truncated_variation``, the
-totals-only scan, and ``prefix_curves``, which runs ``full_scan`` and
-so writes the per-sample arrays. It prints a table whose ``route`` column
-names the route that ran, and the log-log fit exponent of each query on
-each route (1.0 means linear), and compares the fast scan on each route
+Times two queries across path sizes on each route (``native`` when the
+library builds, and ``python``): ``truncated_variation``, the totals-only
+scan, and ``prefix_curves``, which runs ``full_scan`` and so writes the
+per-sample arrays. It times every size once per round, in CPU time per
+call, over several rounds, so a slow phase of a shared machine slows the
+sizes of a round alike. It prints a table of the median over the rounds,
+whose ``route`` column names the route that ran, and the log-log fit
+exponent of each query on each route (1.0 means linear): the median of
+the rounds' exponents. It also compares the fast scan on each route
 against the quadratic oracle at a desk-scale size as a sanity check.
 
 With ``--io`` it times the CSV layer instead: at each size, the best of
@@ -37,6 +40,17 @@ from truncvar import (
 )
 from truncvar import _native, pathio
 from truncvar.pathio import read_path, write_columns, write_path
+
+
+ROUNDS = 5
+
+
+def cpu_time(fn, reps):
+    """The mean CPU time of ``reps`` calls of ``fn``."""
+    t0 = time.process_time()
+    for _ in range(reps):
+        fn()
+    return (time.process_time() - t0) / reps
 
 
 def best_time(fn, reps):
@@ -96,29 +110,33 @@ def main():
     libraries = routes()
     check = generate(GeneratorSpec("random-walk", 2000, seed=args.seed))
     ref = oracle_truncated_variation(check, args.level)
+    queries = {"truncated_variation": truncated_variation, "prefix_curves": prefix_curves}
     for library in libraries:
         with mock.patch.object(_native, "library", library):
             fast = truncated_variation(check, args.level)
+            prefix_curves(check, args.level)  # warms up the other query
             print(f"oracle cross-check at n=2000 ({pathio.codec()}): "
                   f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
-    queries = {"truncated_variation": truncated_variation, "prefix_curves": prefix_curves}
-    times = {}
-    print(f"{'n':>12} {'query':>20} {'route':>7} {'best_ms':>12} {'Msamples/s':>12}")
-    for n in args.sizes:
-        path = generate(GeneratorSpec("random-walk", n, seed=args.seed))
-        reps = max(3, 2_000_000 // n)
+    paths = [generate(GeneratorSpec("random-walk", n, seed=args.seed)) for n in args.sizes]
+    rounds = {}  # (query, route) -> one list of per-size times per round
+    for _ in range(ROUNDS):
         for name, query in queries.items():
             for library in libraries:
                 with mock.patch.object(_native, "library", library):
                     route = pathio.codec()
-                    t = best_time(lambda: query(path, args.level), reps)
-                times.setdefault((name, route), []).append(t)
-                print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
+                    times = [cpu_time(lambda: query(path, args.level), max(1, 10**6 // path.n))
+                             for path in paths]
+                rounds.setdefault((name, route), []).append(times)
+    print(f"{'n':>12} {'query':>20} {'route':>7} {'median_ms':>12} {'Msamples/s':>12}")
+    for i, n in enumerate(args.sizes):
+        for (name, route), route_rounds in rounds.items():
+            t = float(np.median([times[i] for times in route_rounds]))
+            print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
     if len(args.sizes) >= 2:
-        for (name, route), route_times in times.items():
-            slope = float(np.polyfit(np.log(args.sizes), np.log(route_times), 1)[0])
-            print(f"log-log fit exponent ({name}, {route}): {slope:.3f}")
+        for (name, route), route_rounds in rounds.items():
+            slopes = [np.polyfit(np.log(args.sizes), np.log(t), 1)[0] for t in route_rounds]
+            print(f"log-log fit exponent ({name}, {route}): {float(np.median(slopes)):.3f}")
 
 
 if __name__ == "__main__":

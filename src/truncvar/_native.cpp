@@ -3,9 +3,10 @@
 //
 // The CSV codec for truncvar.pathio: format_rows writes rows of float64
 // columns in the layout of Python's repr; parse_rows reads the rows of a
-// path file. Both rest on the C++17 <charconv> routines: std::to_chars gives
-// the shortest digits that read back to the same double (the digits repr
-// prints), and std::from_chars rounds correctly (as float() does). The
+// path file. The C++17 <charconv> routines lay out both directions:
+// std::to_chars prints the shortest digits that read back to the same double
+// (the digits repr prints), in fixed or exponent form at repr's switch
+// points, and std::from_chars rounds correctly (as float() does). The
 // Python routes in pathio stay the reference: parse_rows accepts a strict
 // subset of what the line parser accepts, returns the same bits on it, and
 // returns -1 on anything else so that the caller re-reads the file with the
@@ -44,61 +45,32 @@ int PyGC_Enable(void);
 
 namespace {
 
-// repr(x): the shortest round-trip digits d1 d2 ... dk with the decimal
-// point after position decpt; exponent form when decpt <= -4 or decpt > 16
-// ("1e+16", "1.5e-05"), else positional with ".0" on integral values.
+constexpr int kReprBytes = 24;  // the longest repr: "-1.2345678901234567e-308"
+
+// repr(x), in at most kReprBytes. std::to_chars prints the shortest digits
+// that read back to x, the digits repr prints, in the form it is asked for:
+// exponent form ("1e+16", "1.5e-05", "inf") below 1e-4 and from 1e16 up, else
+// fixed form, with ".0" on integral values ("0.0" and "-0.0" included). repr
+// switches on the digits, but the value can be tested instead: 1e16 is a
+// double, and the double nearest 1e-4 prints as "0.0001", so x falls below
+// either switch point exactly when its digits do.
 char* put_repr(char* out, double x) {
     if (std::isnan(x)) {
         std::memcpy(out, "nan", 3);
         return out + 3;
     }
-    char sci[32];
-    char* end = std::to_chars(sci, sci + sizeof sci, x, std::chars_format::scientific).ptr;
-    if (std::isinf(x)) {  // "inf" or "-inf", as repr writes them
-        std::memcpy(out, sci, end - sci);
-        return out + (end - sci);
+    const double size = std::fabs(x);
+    if (x != 0.0 && !(size >= 1e-4 && size < 1e16))
+        return std::to_chars(out, out + kReprBytes, x, std::chars_format::scientific).ptr;
+    char* end = std::to_chars(out, out + kReprBytes, x, std::chars_format::fixed).ptr;
+    if (!std::memchr(out, '.', end - out)) {
+        *end++ = '.';
+        *end++ = '0';
     }
-    // sci is [-]d[.ddd]e(+|-)XX[X]
-    const char* p = sci;
-    if (*p == '-') *out++ = *p++;
-    const char* body = p;
-    char digits[20];
-    int nd = 0;
-    digits[nd++] = *p++;
-    if (*p == '.')
-        for (++p; *p != 'e'; ++p) digits[nd++] = *p;
-    bool negative_exp = p[1] == '-';
-    int exp10 = 0;
-    for (p += 2; p < end; ++p) exp10 = 10 * exp10 + (*p - '0');
-    int decpt = (negative_exp ? -exp10 : exp10) + 1;
-    if (decpt <= -4 || decpt > 16) {  // to_chars already writes repr's exponent
-        std::memcpy(out, body, end - body);
-        return out + (end - body);
-    }
-    if (decpt <= 0) {
-        *out++ = '0';
-        *out++ = '.';
-        for (int i = decpt; i < 0; ++i) *out++ = '0';
-        std::memcpy(out, digits, nd);
-        return out + nd;
-    }
-    if (decpt < nd) {
-        std::memcpy(out, digits, decpt);
-        out += decpt;
-        *out++ = '.';
-        std::memcpy(out, digits + decpt, nd - decpt);
-        return out + (nd - decpt);
-    }
-    std::memcpy(out, digits, nd);
-    out += nd;
-    for (int i = nd; i < decpt; ++i) *out++ = '0';
-    *out++ = '.';
-    *out++ = '0';
-    return out;
+    return end;
 }
 
 bool is_blank(char ch) { return ch == ' ' || ch == '\t'; }
-bool is_digit(char ch) { return ch >= '0' && ch <= '9'; }
 
 const char* skip_blanks(const char* p, const char* end) {
     while (p < end && is_blank(*p)) ++p;
@@ -115,14 +87,13 @@ const char* line_end(const char* p, const char* end) {
 }
 
 // One number that float() reads to the same bits: an optional '-', then
-// digits with an optional '.' and exponent. nullptr on anything else: a
-// leading '+', inf/nan spellings, or a value out of float64's range (float()
-// would give inf or 0.0; the line parser settles those).
+// digits with an optional '.' and exponent. nullptr on anything else:
+// from_chars refuses a leading '+' and a value out of float64's range
+// (float() would give inf or 0.0; the line parser settles those), and the
+// finiteness test refuses every inf/nan spelling.
 const char* number(const char* p, const char* end, double* out) {
-    const char* q = p < end && *p == '-' ? p + 1 : p;
-    if (q == end || !(is_digit(*q) || *q == '.')) return nullptr;
     auto r = std::from_chars(p, end, *out, std::chars_format::general);
-    return r.ec == std::errc() ? r.ptr : nullptr;
+    return r.ec == std::errc() && std::isfinite(*out) ? r.ptr : nullptr;
 }
 
 const char kBom[] = "\xef\xbb\xbf";
@@ -193,11 +164,12 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 //
 // approx, up and down are null together, or each holds n entries for the
 // arrays of truncvar._scan.full_scan, written from the state each sample
-// leaves: in a peak, approx = run_max - c/2 and up = up_total +
-// ((run_max - anchor_min) - c), down = down_total; in a valley the mirror
-// image; while undecided up = down = 0.0, and approx holds the band of the
-// undecided window's final extreme: anchor_min + c/2 at an up trigger,
-// anchor_max - c/2 at a down trigger, run_min + c/2 if nothing triggers.
+// leaves. anchor is the extreme the open regime started from: a peak's
+// valley, a valley's peak. In a peak, approx = run_max - c/2, up = up_total +
+// ((run_max - anchor) - c) and down = down_total; in a valley the mirror
+// image. While undecided up = down = 0.0, and approx holds the band of the
+// undecided window's final extreme: anchor + c/2 at an up trigger,
+// anchor - c/2 at a down trigger, run_min + c/2 if nothing triggers.
 int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                     double* skeleton, double* approx, double* up, double* down,
                     double* totals) {
@@ -211,8 +183,7 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     int direction = SEEK;
     double up_total = 0.0;
     double down_total = 0.0;
-    double anchor_min = 0.0;  // valley extreme the open peak regime started from
-    double anchor_max = 0.0;  // peak extreme the open valley regime started from
+    double anchor = 0.0;      // the extreme the open regime started from
     double seek_band = 0.0;   // approx over the undecided window, set when it ends
     int64_t seek_end = n;     // the first trigger, where the undecided window ends
     for (int64_t j = 0; j < n; ++j) {
@@ -222,19 +193,19 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
             if (v > run_max) run_max = v;
             if (v - run_min >= c) {
                 direction = phase = UP;
-                anchor_min = run_min;
-                seek_band = anchor_min + half;
+                anchor = run_min;
+                seek_band = anchor + half;
                 seek_end = j;
-                if (skeleton) skeleton[k - 1] = anchor_min;
+                if (skeleton) skeleton[k - 1] = anchor;
                 if (starts) starts[k] = j;
                 ++k;
                 run_max = v;
             } else if (run_max - v >= c) {
                 direction = phase = DOWN;
-                anchor_max = run_max;
-                seek_band = anchor_max - half;
+                anchor = run_max;
+                seek_band = anchor - half;
                 seek_end = j;
-                if (skeleton) skeleton[k - 1] = anchor_max;
+                if (skeleton) skeleton[k - 1] = anchor;
                 if (starts) starts[k] = j;
                 ++k;
                 run_min = v;
@@ -242,9 +213,9 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
         } else if (phase == UP) {
             if (v > run_max) run_max = v;
             if (run_max - v >= c) {
-                up_total = up_total + ((run_max - anchor_min) - c);
-                anchor_max = run_max;
-                if (skeleton) skeleton[k - 1] = anchor_max;
+                up_total = up_total + ((run_max - anchor) - c);
+                anchor = run_max;
+                if (skeleton) skeleton[k - 1] = anchor;
                 if (starts) starts[k] = j;
                 ++k;
                 phase = DOWN;
@@ -253,9 +224,9 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
         } else {
             if (v < run_min) run_min = v;
             if (v - run_min >= c) {
-                down_total = down_total + ((anchor_max - run_min) - c);
-                anchor_min = run_min;
-                if (skeleton) skeleton[k - 1] = anchor_min;
+                down_total = down_total + ((anchor - run_min) - c);
+                anchor = run_min;
+                if (skeleton) skeleton[k - 1] = anchor;
                 if (starts) starts[k] = j;
                 ++k;
                 phase = UP;
@@ -265,12 +236,12 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
         if (!approx) continue;
         if (phase == UP) {
             approx[j] = run_max - half;
-            up[j] = up_total + ((run_max - anchor_min) - c);
+            up[j] = up_total + ((run_max - anchor) - c);
             down[j] = down_total;
         } else if (phase == DOWN) {
             approx[j] = run_min + half;
             up[j] = up_total;
-            down[j] = down_total + ((anchor_max - run_min) - c);
+            down[j] = down_total + ((anchor - run_min) - c);
         } else {
             up[j] = 0.0;
             down[j] = 0.0;
@@ -280,8 +251,8 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
         if (k == 1) seek_band = run_min + half;
         for (int64_t j = 0; j < seek_end; ++j) approx[j] = seek_band;
     }
-    if (phase == UP) up_total = up_total + ((run_max - anchor_min) - c);
-    else if (phase == DOWN) down_total = down_total + ((anchor_max - run_min) - c);
+    if (phase == UP) up_total = up_total + ((run_max - anchor) - c);
+    else if (phase == DOWN) down_total = down_total + ((anchor - run_min) - c);
     if (skeleton) skeleton[k - 1] = phase == UP ? run_max : run_min;
     totals[0] = up_total;
     totals[1] = down_total;

@@ -107,8 +107,7 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
     run_min = run_max = samples[0]
     phase = direction = SEEK
     up_total = down_total = 0.0
-    anchor_min = 0.0  # valley extreme the open peak regime started from
-    anchor_max = 0.0  # peak extreme the open valley regime started from
+    anchor = 0.0  # the extreme the open regime started from
     seek_end, w = len(samples), 0  # w: the index of the open window
     # the undecided phase is tested last: it is rarely live after the first trigger
     for j, v in enumerate(samples):
@@ -118,11 +117,11 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
             if not run_max - v >= c:
                 if write:
                     approx[j] = run_max - half
-                    up[j] = up_total + ((run_max - anchor_min) - c)
+                    up[j] = up_total + ((run_max - anchor) - c)
                     down[j] = down_total
                 continue
-            up_total = up_total + ((run_max - anchor_min) - c)
-            anchor = anchor_max = run_max
+            up_total = up_total + ((run_max - anchor) - c)
+            anchor = run_max
             phase = DOWN
             run_min = v
         elif phase == DOWN:
@@ -132,10 +131,10 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
                 if write:
                     approx[j] = run_min + half
                     up[j] = up_total
-                    down[j] = down_total + ((anchor_max - run_min) - c)
+                    down[j] = down_total + ((anchor - run_min) - c)
                 continue
-            down_total = down_total + ((anchor_max - run_min) - c)
-            anchor = anchor_min = run_min
+            down_total = down_total + ((anchor - run_min) - c)
+            anchor = run_min
             phase = UP
             run_max = v
         else:
@@ -145,12 +144,12 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
                 run_max = v
             if v - run_min >= c:
                 direction = phase = UP
-                anchor = anchor_min = run_min
+                anchor = run_min
                 seek_band = anchor + half
                 run_max = v
             elif run_max - v >= c:
                 direction = phase = DOWN
-                anchor = anchor_max = run_max
+                anchor = run_max
                 seek_band = anchor - half
                 run_min = v
             else:
@@ -165,16 +164,16 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
         if write:  # the new window's extreme is v
             if phase == UP:
                 approx[j] = run_max - half
-                up[j] = up_total + ((run_max - anchor_min) - c)
+                up[j] = up_total + ((run_max - anchor) - c)
                 down[j] = down_total
             else:
                 approx[j] = run_min + half
                 up[j] = up_total
-                down[j] = down_total + ((anchor_max - run_min) - c)
+                down[j] = down_total + ((anchor - run_min) - c)
     if phase == UP:
-        up_total = up_total + ((run_max - anchor_min) - c)
+        up_total = up_total + ((run_max - anchor) - c)
     elif phase == DOWN:
-        down_total = down_total + ((anchor_max - run_min) - c)
+        down_total = down_total + ((anchor - run_min) - c)
     if skeleton is not None:
         skeleton[w] = run_max if phase == UP else run_min
     if write:  # the undecided window holds the band of its final extreme

@@ -95,8 +95,6 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
         raise PathError(
             "length-mismatch", f"times has {t.size} entries, values has {v.size}"
         )
-    if t.size == 0:
-        raise PathError("empty-path", "need at least one sample")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise PathError("non-finite", "times and values must all be finite")
     if t.size > 1 and not np.all(t[1:] > t[:-1]):

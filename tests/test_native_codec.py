@@ -53,6 +53,20 @@ def test_format_matches_repr_on_random_bit_patterns():
     assert_repr(bits.view(np.float64))
 
 
+@needs_lib
+def test_format_matches_repr_on_random_positional_values():
+    # few random bit patterns fall in [1e-4, 1e16), where format_rows writes
+    # fixed form: draw binades log-uniform over that range, then a full
+    # random mantissa and sign in each
+    rng = np.random.default_rng(78)
+    n = 200_000
+    binades = (10.0 ** rng.uniform(-4.0, 16.0, n)).view(np.uint64) & np.uint64(0x7FF << 52)
+    mantissas = rng.integers(0, 2**52, n, dtype=np.uint64)
+    signs = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    values = (binades | mantissas | signs).view(np.float64)
+    assert_repr(values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)])
+
+
 def structured_values() -> np.ndarray:
     big = np.finfo(np.float64).max
     tiny = np.finfo(np.float64).smallest_subnormal

@@ -48,6 +48,12 @@ class TestMakePath:
             codes.add(err.value.code)
         assert len(codes) == len(failures)
 
+    @pytest.mark.parametrize("times, values", [([], [1.0]), ([0.0], [])])
+    def test_one_empty_side_is_a_length_mismatch(self, times, values):
+        with pytest.raises(PathError) as err:
+            make_path(times, values)
+        assert err.value.code == "length-mismatch"
+
     def test_arrays_are_read_only(self, p1):
         with pytest.raises(ValueError):
             p1.values[0] = 9.0
