@@ -12,11 +12,11 @@ exponent of each query on each route (1.0 means linear): the median of
 the rounds' exponents. It also compares the fast scan on each route
 against the quadratic oracle at a desk-scale size as a sanity check.
 
-With ``--io`` it times the CSV layer instead: at each size, the best of
-several runs of ``read_path``, ``write_path`` and ``write_columns`` (four
-columns), in ms and in MB/s of file text, on files in a temporary
-directory, once on each codec route; the ``codec`` column names the route
-that ran. For example::
+With ``--io`` it times the CSV layer instead, in the same rounds and CPU
+time (the kernel's time in ``read`` and ``write`` counts, the disk's does
+not): ``read_path``, ``write_path`` and ``write_columns`` (four columns)
+on each codec route, in ms and MB/s of file text; the ``codec`` column
+names the route that ran. For example::
 
     PYTHONPATH=src python scripts/bench_scaling.py --sizes 100000 1000000
     PYTHONPATH=src python scripts/bench_scaling.py --io --sizes 10000 100000
@@ -26,6 +26,7 @@ import argparse
 import os
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -53,15 +54,6 @@ def cpu_time(fn, reps):
     return (time.process_time() - t0) / reps
 
 
-def best_time(fn, reps):
-    best = np.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def routes():
     """Stand-ins for ``_native.library``: the native route when it builds, then python."""
     lib = _native.library()
@@ -69,31 +61,55 @@ def routes():
     return [lambda: None] if lib is None else [lambda: lib, lambda: None]
 
 
+def time_rounds(cells, libraries):
+    """The CPU time per call of each cell's calls (one per size) on each route,
+    once per round: ``{(name, route): [per-size times of a round, ...]}``."""
+    rounds = {}
+    for _ in range(ROUNDS):
+        for name, calls in cells.items():
+            for library in libraries:
+                with mock.patch.object(_native, "library", library):
+                    route = pathio.codec()
+                    times = [cpu_time(fn, max(1, 10**6 // n)) for n, fn in calls]
+                rounds.setdefault((name, route), []).append(times)
+    return rounds
+
+
+def report(sizes, rounds, heads, rate):
+    """Print the median time of every cell at every size with its
+    ``rate(name, n, t)``, then the median of the rounds' fit exponents."""
+    name_head, route_head, rate_head = heads
+    print(f"{'n':>12} {name_head:>20} {route_head:>7} {'median_ms':>12} {rate_head:>12}")
+    for i, n in enumerate(sizes):
+        for (name, route), route_rounds in rounds.items():
+            t = float(np.median([times[i] for times in route_rounds]))
+            print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {rate(name, n, t):>12.1f}")
+    if len(sizes) >= 2:
+        for (name, route), route_rounds in rounds.items():
+            slopes = [np.polyfit(np.log(sizes), np.log(t), 1)[0] for t in route_rounds]
+            print(f"log-log fit exponent ({name}, {route}): {float(np.median(slopes)):.3f}")
+
+
 def io_table(sizes, seed):
-    """Best-of-reps ms and MB/s of each CSV layer call at each size, per codec route."""
+    """Median CPU ms and MB/s of each CSV layer call at each size, per codec route."""
     libraries = routes()
-    print(f"{'n':>12} {'layer':>14} {'codec':>7} {'best_ms':>10} {'MB/s':>8}")
+    cells, files = {}, {}  # files: (layer, n) -> the file the call reads or writes
     with tempfile.TemporaryDirectory() as tmp:
-        src, dest = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
         for n in sizes:
             path = generate(GeneratorSpec("random-walk", n, seed=seed))
-            # the shape of a `tv --prefix` file
-            header = ("time", "utv", "dtv", "tv")
+            header = ("time", "utv", "dtv", "tv")  # the shape of a `tv --prefix` file
             columns = (path.times, path.values, -path.values, 2.0 * path.values)
+            src, dest, wide = (Path(tmp) / f"{name}-{n}.csv" for name in ("in", "out", "wide"))
             write_path(path, src)
-            reps = max(3, 1_000_000 // n)
-            layers = [
-                ("read_path", src, lambda: read_path(src)),
-                ("write_path", dest, lambda: write_path(path, dest)),
-                ("write_columns", dest, lambda: write_columns(dest, header, columns)),
-            ]
+            layers = (("read_path", src, partial(read_path, src)),
+                      ("write_path", dest, partial(write_path, path, dest)),
+                      ("write_columns", wide, partial(write_columns, wide, header, columns)))
             for name, file, fn in layers:
-                for codec in libraries:
-                    with mock.patch.object(_native, "library", codec):
-                        ran = pathio.codec()
-                        t = best_time(fn, reps)
-                    mb = os.path.getsize(file) / 2**20
-                    print(f"{n:>12,} {name:>14} {ran:>7} {t * 1e3:>10.2f} {mb / t:>8.1f}")
+                files[name, n] = file
+                cells.setdefault(name, []).append((n, fn))
+        rounds = time_rounds(cells, libraries)
+        report(sizes, rounds, ("layer", "codec", "MB/s"),
+               lambda name, n, t: os.path.getsize(files[name, n]) / 2**20 / t)
 
 
 def main():
@@ -119,24 +135,10 @@ def main():
                   f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
     paths = [generate(GeneratorSpec("random-walk", n, seed=args.seed)) for n in args.sizes]
-    rounds = {}  # (query, route) -> one list of per-size times per round
-    for _ in range(ROUNDS):
-        for name, query in queries.items():
-            for library in libraries:
-                with mock.patch.object(_native, "library", library):
-                    route = pathio.codec()
-                    times = [cpu_time(lambda: query(path, args.level), max(1, 10**6 // path.n))
-                             for path in paths]
-                rounds.setdefault((name, route), []).append(times)
-    print(f"{'n':>12} {'query':>20} {'route':>7} {'median_ms':>12} {'Msamples/s':>12}")
-    for i, n in enumerate(args.sizes):
-        for (name, route), route_rounds in rounds.items():
-            t = float(np.median([times[i] for times in route_rounds]))
-            print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {n / t / 1e6:>12.1f}")
-    if len(args.sizes) >= 2:
-        for (name, route), route_rounds in rounds.items():
-            slopes = [np.polyfit(np.log(args.sizes), np.log(t), 1)[0] for t in route_rounds]
-            print(f"log-log fit exponent ({name}, {route}): {float(np.median(slopes)):.3f}")
+    cells = {name: [(path.n, partial(query, path, args.level)) for path in paths]
+             for name, query in queries.items()}
+    rounds = time_rounds(cells, libraries)
+    report(args.sizes, rounds, ("query", "route", "Msamples/s"), lambda name, n, t: n / t / 1e6)
 
 
 if __name__ == "__main__":

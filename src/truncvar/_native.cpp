@@ -154,21 +154,21 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 // The trigger state machine of truncvar._scan._window_scan at level c, step
 // for step and with the same contract, so truncvar._scan._machine calls
 // either: strict running extremes, exact >= threshold tests and left-to-right
-// sums. Where starts is not null, writes the window starts [0, t0, t1, ...]
-// into it; where skeleton is not null, the extreme each window ends on: the
-// anchor at each trigger, then the final tracked extreme (the running minimum
-// if nothing triggered). Writes (up, down, direction) into totals, the
-// direction in _scan's codes below, and returns the window count k. Needs
-// n >= 1; starts and skeleton hold n + 1 entries (a trigger fires at most
-// once per sample), and only the first k are written.
+// sums. fire records each trigger in one place, as _window_scan does: the
+// window start [0, t0, t1, ...] into starts and the anchor into skeleton,
+// each where it is not null; skeleton ends on the final tracked extreme (the
+// running minimum if nothing triggered). Writes (up, down, direction) into
+// totals, the direction in _scan's codes below, and returns the window count
+// k. Needs n >= 1; starts and skeleton hold n + 1 entries (a trigger fires
+// at most once per sample), and only the first k are written.
 //
 // approx, up and down are null together, or each holds n entries for the
 // arrays of truncvar._scan.full_scan, written from the state each sample
 // leaves. anchor is the extreme the open regime started from: a peak's
 // valley, a valley's peak. In a peak, approx = run_max - c/2, up = up_total +
 // ((run_max - anchor) - c) and down = down_total; in a valley the mirror
-// image. While undecided up = down = 0.0, and approx holds the band of the
-// undecided window's final extreme: anchor + c/2 at an up trigger,
+// image. The undecided window, filled after the walk, gets up = down = 0.0
+// and approx = its final extreme's band: anchor + c/2 at an up trigger,
 // anchor - c/2 at a down trigger, run_min + c/2 if nothing triggers.
 int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                     double* skeleton, double* approx, double* up, double* down,
@@ -186,6 +186,11 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     double anchor = 0.0;      // the extreme the open regime started from
     double seek_band = 0.0;   // approx over the undecided window, set when it ends
     int64_t seek_end = n;     // the first trigger, where the undecided window ends
+    auto fire = [&](int64_t j) {
+        if (skeleton) skeleton[k - 1] = anchor;
+        if (starts) starts[k] = j;
+        ++k;
+    };
     for (int64_t j = 0; j < n; ++j) {
         const double v = values[j];
         if (phase == SEEK) {
@@ -195,29 +200,23 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 direction = phase = UP;
                 anchor = run_min;
                 seek_band = anchor + half;
-                seek_end = j;
-                if (skeleton) skeleton[k - 1] = anchor;
-                if (starts) starts[k] = j;
-                ++k;
                 run_max = v;
             } else if (run_max - v >= c) {
                 direction = phase = DOWN;
                 anchor = run_max;
                 seek_band = anchor - half;
-                seek_end = j;
-                if (skeleton) skeleton[k - 1] = anchor;
-                if (starts) starts[k] = j;
-                ++k;
                 run_min = v;
+            } else {
+                continue;  // written with the band after the walk
             }
+            seek_end = j;
+            fire(j);
         } else if (phase == UP) {
             if (v > run_max) run_max = v;
             if (run_max - v >= c) {
                 up_total = up_total + ((run_max - anchor) - c);
                 anchor = run_max;
-                if (skeleton) skeleton[k - 1] = anchor;
-                if (starts) starts[k] = j;
-                ++k;
+                fire(j);
                 phase = DOWN;
                 run_min = v;
             }
@@ -226,9 +225,7 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
             if (v - run_min >= c) {
                 down_total = down_total + ((anchor - run_min) - c);
                 anchor = run_min;
-                if (skeleton) skeleton[k - 1] = anchor;
-                if (starts) starts[k] = j;
-                ++k;
+                fire(j);
                 phase = UP;
                 run_max = v;
             }
@@ -238,18 +235,18 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
             approx[j] = run_max - half;
             up[j] = up_total + ((run_max - anchor) - c);
             down[j] = down_total;
-        } else if (phase == DOWN) {
+        } else {
             approx[j] = run_min + half;
             up[j] = up_total;
             down[j] = down_total + ((anchor - run_min) - c);
-        } else {
-            up[j] = 0.0;
-            down[j] = 0.0;
         }
     }
     if (approx) {
         if (k == 1) seek_band = run_min + half;
-        for (int64_t j = 0; j < seek_end; ++j) approx[j] = seek_band;
+        for (int64_t j = 0; j < seek_end; ++j) {
+            approx[j] = seek_band;
+            up[j] = down[j] = 0.0;
+        }
     }
     if (phase == UP) up_total = up_total + ((run_max - anchor) - c);
     else if (phase == DOWN) down_total = down_total + ((anchor - run_min) - c);
@@ -267,20 +264,17 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
 // the running minimum (down), and window 0 tracks the maximum when max_first
 // is set. The extreme restarts at each window start and moves only on a
 // strict > or <, so a tie keeps the earlier sample, as the scan does (this
-// decides the sign of a zero extreme). A pair equal in label and in bits to
-// the one before it reuses that tuple. Every tuple is untracked from the
-// cyclic GC: a tuple of a str and a float cannot be part of a cycle, and
-// CPython would untrack it at its next collection anyway. For the same
-// reason the collector is paused while the list is built, since each new
-// tuple would count toward its next run; the caller's setting is restored
-// on every return. Returns a new reference, or null with a Python error set
-// when an allocation fails.
+// decides the sign of a zero extreme). A window starts with a new tuple; a
+// sample that leaves the extreme in place reuses the one before. Every tuple
+// is untracked from the cyclic GC: a tuple of a str and a float cannot be
+// part of a cycle, and CPython would untrack it at its next collection
+// anyway. For the same reason the collector is paused while the list is
+// built, since each new tuple would count toward its next run; the caller's
+// setting is restored on every return. Returns a new reference, or null with
+// a Python error set when an allocation fails.
 PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, int64_t k,
                         int64_t max_first, PyObject* seek, PyObject* up, PyObject* down) {
     const int gc_was_enabled = PyGC_Disable();
-    PyObject* pair = nullptr;  // the last tuple made; the list holds it
-    PyObject* pair_label = nullptr;
-    uint64_t pair_bits = 0;
     PyObject* out = PyList_New(n);
     if (!out) goto done;
     for (int64_t w = 0; w < k; ++w) {
@@ -288,12 +282,14 @@ PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, 
         PyObject* label = w == 0 ? seek : track_max ? up : down;
         const int64_t end = w + 1 < k ? starts[w + 1] : n;
         double extreme = values[starts[w]];
+        PyObject* pair = nullptr;  // the held pair's tuple; the list holds it
         for (int64_t j = starts[w]; j < end; ++j) {
             const double v = values[j];
-            if (track_max ? v > extreme : v < extreme) extreme = v;
-            uint64_t bits;
-            std::memcpy(&bits, &extreme, sizeof bits);
-            if (pair && label == pair_label && bits == pair_bits) {
+            if (track_max ? v > extreme : v < extreme) {
+                extreme = v;
+                pair = nullptr;
+            }
+            if (pair) {
                 Py_IncRef(pair);
             } else {
                 PyObject* number = PyFloat_FromDouble(extreme);
@@ -301,8 +297,6 @@ PyObject* running_pairs(const double* values, int64_t n, const int64_t* starts, 
                 if (number) Py_DecRef(number);
                 if (!pair) goto fail;
                 PyObject_GC_UnTrack(pair);
-                pair_label = label;
-                pair_bits = bits;
             }
             if (PyList_SetItem(out, j, pair) < 0) goto fail;
         }

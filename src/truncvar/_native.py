@@ -15,13 +15,14 @@ This is the one list of what runs natively. The library holds:
 - ``running_pairs``, which builds the list of
   ``regime_detector.running_extremes`` from the validated window starts:
   the running extreme of each window and one (kind, extreme) tuple per
-  sample, the same tuple reused while the pair repeats, with the cyclic
-  GC paused while it runs;
+  sample, a new one where a window starts or the extreme moves, with the
+  cyclic GC paused while it runs;
 - ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
 
-``running_pairs`` makes Python objects, so it is bound through a
-``ctypes.PyDLL`` handle on the same file and holds the GIL while it runs;
-every other function is bound through ``ctypes.CDLL`` and releases the GIL.
+``running_pairs`` makes Python objects, so it is bound on the one
+``ctypes.CDLL`` handle through a ``ctypes.PYFUNCTYPE`` prototype, which
+holds the GIL while it runs and raises the Python error it leaves set;
+every other function releases the GIL.
 The skeleton scan ``_scan.tv_scan(..., True)``, behind ``sweep``'s level
 ladder, keeps the Python machine. ``library()`` returns the loaded
 library, or None when it cannot be had; its callers then take their
@@ -70,7 +71,6 @@ def library():
         if not lib_path.is_file() and not _build(lib_path):
             return None
         lib = ctypes.CDLL(str(lib_path))
-        running_pairs = ctypes.PyDLL(str(lib_path)).running_pairs  # holds the GIL
     except OSError:  # no source, an unwritable cache, or a library that won't load
         return None
     lib.format_rows.argtypes = (_PTR, _I64, _I64, _I64, _PTR)
@@ -81,9 +81,8 @@ def library():
     lib.window_scan.restype = _I64
     lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)
     lib.greedy_skeleton.restype = _I64
-    lib.running_pairs = running_pairs
-    lib.running_pairs.argtypes = (_PTR, _I64, _PTR, _I64, _I64, _OBJ, _OBJ, _OBJ)
-    lib.running_pairs.restype = _OBJ
+    prototype = ctypes.PYFUNCTYPE(_OBJ, _PTR, _I64, _PTR, _I64, _I64, _OBJ, _OBJ, _OBJ)
+    lib.running_pairs = prototype(("running_pairs", lib))
     return lib
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._scan import checked_total, full_scan, tv_scan
+from ._scan import _alternate, checked_total, full_scan, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -140,12 +140,11 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
         c = float(grid[i])
         if c <= min_gap:
             j = int(np.searchsorted(grid, min_gap, side="right"))
-            first_rise = int(skeleton.shape[0] > 1 and skeleton[1] < skeleton[0])
-            rises, falls = gaps[first_rise::2], gaps[1 - first_rise :: 2]
+            rises, falls = _alternate(gaps, direction)
             tv_values[i:j] = _fold(rises, grid[i:j]) + _fold(falls, grid[i:j])
             i = j
         else:
-            up, down, _, skeleton = tv_scan(skeleton, c, True)
+            up, down, direction, skeleton = tv_scan(skeleton, c, True)
             tv_values[i] = up + down
             gaps = np.abs(np.diff(skeleton))
             min_gap = float(gaps.min()) if gaps.size else np.inf

@@ -233,10 +233,11 @@ def test_time_reversal_swaps_up_and_down(vals, data):
 
 
 def assert_routes_agree(vals, c):
-    """``full_scan``, ``regime_scan``, ``step_skeleton``, ``running_extremes``
-    and the totals-only ``tv_scan``: the native loops give the Python routes'
-    bits, the same direction, and the same kinds, floats and signs of zero
-    pair by pair."""
+    """``full_scan``, ``regime_scan``, ``step_skeleton``, ``running_extremes``,
+    the totals-only ``tv_scan`` and the skeleton-only machine call: the native
+    loops give the Python routes' bits, the same direction, the same kinds,
+    floats and signs of zero pair by pair, and the same tuples shared between
+    neighbouring pairs."""
     x = np.array(vals, dtype=np.float64)
     path = make_path(np.arange(x.size, dtype=float), x)
     dec = detect_regimes(path, c)
@@ -260,9 +261,17 @@ def assert_routes_agree(vals, c):
     for (kind, e), (want_kind, want) in zip(native[3], ref[3]):
         assert kind == want_kind and type(e) is float
         assert e == want and math.copysign(1, e) == math.copysign(1, want)
+    shared = [[a is b for a, b in zip(pairs, pairs[1:])] for pairs in (native[3], ref[3])]
+    assert shared[0] == shared[1]
     assert_same_bits(native[4][:2], ref[4][:2], "tv_scan totals")
     assert native[4][2] == ref[4][2] and native[4][3] is ref[4][3] is None
     assert all(type(t) is float for t in native[4][:2]) and type(native[4][2]) is int
+    # the skeleton alone, with null window starts and per-sample arrays
+    buf, ref_buf = np.empty(x.size + 1), np.empty(x.size + 1)
+    got, want = _machine(x, c, skeleton=buf), _window_scan(x, c, skeleton=ref_buf)
+    assert_same_bits(got[:2], want[:2], "skeleton-only totals")
+    assert got[2:] == want[2:]
+    assert_same_bits(buf[: got[3]], ref_buf[: want[3]], "skeleton")
 
 
 @needs_lib
