@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Scaling experiment for the one-pass scan, or for the CSV layer.
 
-Times two queries across path sizes on each route (``native`` when the
+Times three queries across path sizes on each route (``native`` when the
 library builds, and ``python``): ``truncated_variation``, the totals-only
-scan, and ``prefix_curves``, which runs ``full_scan`` and so writes the
-per-sample arrays. It times every size once per round, in CPU time per
-call, over several rounds, so a slow phase of a shared machine slows the
-sizes of a round alike. It prints a table of the median over the rounds,
-whose ``route`` column names the route that ran, and the log-log fit
-exponent of each query on each route (1.0 means linear): the median of
-the rounds' exponents. It also compares the fast scan on each route
-against the quadratic oracle at a desk-scale size as a sanity check.
+scan; ``prefix_curves``, which runs ``full_scan`` and so writes the
+per-sample arrays; and ``sweep`` over the 32 levels ``osc_norm * k / 32``
+of perfbench's ``level_curve``, the skeleton ladder, which runs the Python
+machine on both routes until ROADMAP items 1 and 2 land. It times every
+size once per round, in CPU time per call, over several rounds, so a slow
+phase of a shared machine slows the sizes of a round alike. It prints a
+table of the median over the rounds, whose ``route`` column names the
+route that ran, and the log-log fit exponent of each query on each route
+(1.0 means linear): the median of the rounds' exponents. It also compares
+the fast scan on each route against the quadratic oracle at a desk-scale
+size as a sanity check.
 
 With ``--io`` it times the CSV layer instead, in the same rounds and CPU
 time (the kernel's time in ``read`` and ``write`` counts, the disk's does
@@ -36,7 +39,9 @@ from truncvar import (
     GeneratorSpec,
     generate,
     oracle_truncated_variation,
+    osc_norm,
     prefix_curves,
+    sweep,
     truncated_variation,
 )
 from truncvar import _native, pathio
@@ -44,6 +49,7 @@ from truncvar.pathio import read_path, write_columns, write_path
 
 
 ROUNDS = 5
+LADDER_LEVELS = 32
 
 
 def cpu_time(fn, reps):
@@ -126,17 +132,23 @@ def main():
     libraries = routes()
     check = generate(GeneratorSpec("random-walk", 2000, seed=args.seed))
     ref = oracle_truncated_variation(check, args.level)
-    queries = {"truncated_variation": truncated_variation, "prefix_curves": prefix_curves}
+    queries = {
+        "truncated_variation": lambda path: partial(truncated_variation, path, args.level),
+        "prefix_curves": lambda path: partial(prefix_curves, path, args.level),
+        "sweep": lambda path: partial(
+            sweep, path, osc_norm(path) * np.arange(1, LADDER_LEVELS + 1) / LADDER_LEVELS
+        ),
+    }
     for library in libraries:
         with mock.patch.object(_native, "library", library):
             fast = truncated_variation(check, args.level)
-            prefix_curves(check, args.level)  # warms up the other query
+            for query in queries.values():  # warms up every query
+                query(check)()
             print(f"oracle cross-check at n=2000 ({pathio.codec()}): "
                   f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
     paths = [generate(GeneratorSpec("random-walk", n, seed=args.seed)) for n in args.sizes]
-    cells = {name: [(path.n, partial(query, path, args.level)) for path in paths]
-             for name, query in queries.items()}
+    cells = {name: [(path.n, query(path)) for path in paths] for name, query in queries.items()}
     rounds = time_rounds(cells, libraries)
     report(args.sizes, rounds, ("query", "route", "Msamples/s"), lambda name, n, t: n / t / 1e6)
 

@@ -159,8 +159,10 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 // each where it is not null; skeleton ends on the final tracked extreme (the
 // running minimum if nothing triggered). Writes (up, down, direction) into
 // totals, the direction in _scan's codes below, and returns the window count
-// k. Needs n >= 1; starts and skeleton hold n + 1 entries (a trigger fires
-// at most once per sample), and only the first k are written.
+// k. Needs n >= 1; starts and skeleton hold n entries, and only the first k
+// are written: sample 0 never triggers (c > 0), so k <= n, and skeleton[w] is
+// written once values[w + 1] or a later sample has been read, so skeleton may
+// be values itself.
 //
 // approx, up and down are null together, or each holds n entries for the
 // arrays of truncvar._scan.full_scan, written from the state each sample

@@ -23,13 +23,12 @@ This is the one list of what runs natively. The library holds:
 ``ctypes.CDLL`` handle through a ``ctypes.PYFUNCTYPE`` prototype, which
 holds the GIL while it runs and raises the Python error it leaves set;
 every other function releases the GIL.
-The skeleton scan ``_scan.tv_scan(..., True)``, behind ``sweep``'s level
-ladder, keeps the Python machine. ``library()`` returns the loaded
-library, or None when it cannot be had; its callers then take their
-Python routes, which stay the reference, and
-``pathio.codec()`` (the CLI's ``codec`` report key) names the route. The
-first call compiles the source with the system C++ compiler (``c++``,
-else ``g++``; C++17 ``<charconv>`` with floating-point
+The skeleton ladder of ``truncated_variation.sweep`` keeps the Python
+machine. ``library()`` returns the loaded library, or None when it cannot
+be had; its callers then take their Python routes, which stay the
+reference, and ``pathio.codec()`` (the CLI's ``codec`` report key) names
+the route. The first call compiles the source with the system C++ compiler
+(``c++``, else ``g++``; C++17 ``<charconv>`` with floating-point
 ``to_chars``/``from_chars``, as in GCC 11 or later) into ``__pycache__``
 next to this file, under a name keyed by the machine and the CRC-32 of
 the source and the compiler flags, so an edited source or flag gets a

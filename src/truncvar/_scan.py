@@ -18,9 +18,8 @@ it, the window starts and the skeleton (below), and ``full_scan``'s arrays
 from the state each sample leaves, so every scan is one walk of the
 samples on either route. ``_machine`` runs the native one when the library
 loads and ``_window_scan`` otherwise; the totals-only ``tv_scan``,
-``regime_scan`` and ``full_scan`` go through it. Only the skeleton scan
-``tv_scan(..., True)``, which ``truncated_variation.sweep`` runs, calls
-``_window_scan`` on either route.
+``regime_scan`` and ``full_scan`` go through it. Only the skeleton ladder of
+``truncated_variation.sweep`` calls ``_window_scan`` on either route.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
 order, then the extreme tracked when the samples run out (the running
@@ -86,12 +85,15 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
     double operations as on numpy scalars, in O(1) working memory besides
     the buffers it is given, and writes them by index through memoryviews:
     the window starts ``[0, t0, t1, ...]`` into ``starts`` (int64) and the
-    skeleton into ``skeleton`` (float64), which hold n + 1 entries of which
-    the k first are written, and into ``out`` (n entries each) the
-    ``approx``, ``up`` and ``down`` of ``full_scan`` from the state each
-    sample leaves; the undecided window gets ``up = down = 0.0`` and the
-    band of its final extreme. A buffer that is None is skipped. The
-    totals are not checked here; its callers run ``checked_total``.
+    skeleton into ``skeleton`` (float64), and into ``out`` the ``approx``,
+    ``up`` and ``down`` of ``full_scan`` from the state each sample leaves;
+    the undecided window gets ``up = down = 0.0`` and the band of its final
+    extreme. Every buffer holds n entries; ``starts`` and ``skeleton`` get
+    their k first written. Sample 0 never triggers (c > 0), so k <= n, and
+    the w-th skeleton value is written once sample w + 1 or a later one has
+    been read: ``skeleton`` may be ``values`` itself. A buffer that is None
+    is skipped. The totals are not checked here; its callers run
+    ``checked_total``.
     """
     c = float(c)
     half = c / 2.0
@@ -221,24 +223,9 @@ def _machine(values, c, starts=None, skeleton=None, out=None):
     return up_total, down_total, direction, k
 
 
-def tv_scan(
-    values: np.ndarray, c: float, keep_skeleton: bool = False
-) -> tuple[float, float, int, np.ndarray | None]:
-    """Totals ``(up, down, direction)`` at level c, plus the level-c skeleton.
-
-    The skeleton is None unless ``keep_skeleton`` is set; without it the
-    machine records nothing per trigger.
-    """
-    if not keep_skeleton:
-        return (*_machine(values, c)[:3], None)
-    # The skeleton scan behind sweep's ladder stays on the Python machine
-    # until the benchmark's per-call bookkeeping stops growing its peak
-    # memory with the call count, which a faster ladder would read as a
-    # regression (ROADMAP items 1 and 2).
-    skeleton = np.empty(values.shape[0] + 1)
-    up_total, down_total, direction, k = _window_scan(values, c, skeleton=skeleton)
-    checked_total(up_total + down_total)
-    return up_total, down_total, direction, skeleton[:k]
+def tv_scan(values: np.ndarray, c: float) -> tuple[float, float, int]:
+    """Totals ``(up, down, direction)`` at level c; nothing is recorded per trigger."""
+    return _machine(values, c)[:3]
 
 
 def _alternate(a, direction):
@@ -250,9 +237,9 @@ def _alternate(a, direction):
 
 def regime_scan(values: np.ndarray, c: float) -> Regimes:
     """Trigger indices and window extremes, without the per-sample arrays."""
-    # at most one trigger per sample; pages past the k entries written stay untouched
+    # k <= n entries; pages past the k written stay untouched
     n = values.shape[0]
-    starts, skeleton = np.empty(n + 1, np.int64), np.empty(n + 1)
+    starts, skeleton = np.empty(n, np.int64), np.empty(n)
     _, _, direction, k = _machine(values, c, starts, skeleton)
     up_times, down_times = _alternate(starts[1:k], direction)
     return Regimes(up_times, down_times, *_alternate(skeleton[:k], direction), direction)

@@ -67,7 +67,11 @@ class Level:
         c = self.c
         if isinstance(c, bool) or not isinstance(c, (int, float, np.floating, np.integer)):
             raise PathError("bad-level", f"level must be a real number, got {c!r}")
-        if not np.isfinite(c) or c <= 0:
+        try:
+            finite = math.isfinite(c)
+        except OverflowError:  # an int past float64
+            finite = False
+        if not finite or c <= 0:
             raise PathError("bad-level", f"level must be finite and > 0, got {c!r}")
 
 

@@ -10,12 +10,13 @@ dynamic program and exists purely to cross-check the scan.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._scan import _alternate, checked_total, full_scan, tv_scan
+from ._scan import _alternate, _window_scan, checked_total, full_scan, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -45,7 +46,7 @@ class SweepCurve:
 def truncated_variation(path: SampledPath, c) -> TruncatedVariations:
     """One-pass evaluation; ``tv`` is constructed as ``utv + dtv``."""
     c = level_value(c)
-    utv, dtv, _, _ = tv_scan(path.values, c)
+    utv, dtv, _ = tv_scan(path.values, c)
     return TruncatedVariations(utv=utv, dtv=dtv, tv=utv + dtv)
 
 
@@ -112,21 +113,29 @@ def _fold(gaps: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     """Evaluate the total truncated variation on an increasing level grid.
 
-    The levels run up a ladder of skeletons (see ``_scan``). A level above
-    the smallest gap of the current skeleton is scanned on it, and the
-    skeleton that scan emits, which holds the extremes all higher levels can
-    still see, becomes the current one; the first level is scanned on the
-    samples. A level no larger than the smallest gap is priced in closed
-    form from the gaps: the fold of ``gap - c`` over the rises plus the fold
-    over the falls. Either way the same comparisons and the same additions
-    run on the same values as in a scan of the whole path, so every
-    ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
-    for bit, at a cost near one scan of the path for the whole grid. A
-    closed form adds, in the same order, terms no larger than those of the
-    scan that emitted its skeleton, so it is finite when that scan's
-    checked total is.
+    The levels run up a ladder of skeletons (see ``_scan``) in one copy of
+    the samples. A level above the smallest gap of the current skeleton is
+    scanned on it, and the scan writes the skeleton it emits, which holds
+    the extremes all higher levels can still see, over its own input as the
+    current one; the first level is scanned on the samples. A level no
+    larger than the smallest gap is priced in closed form from the gaps:
+    the fold of ``gap - c`` over the rises plus the fold over the falls.
+    Either way the same comparisons and the same additions run on the same
+    values as in a scan of the whole path, so every ``tv_values[i]`` equals
+    ``truncated_variation(path, levels[i]).tv`` bit for bit, at a cost near
+    one scan of the path for the whole grid. A closed form adds, in the same
+    order, terms no larger than those of the scan that emitted its
+    skeleton, so it is finite when that scan's checked total is.
     """
-    grid = np.asarray(levels, dtype=np.float64)
+    try:
+        grid = np.asarray(levels)
+        if grid.dtype.kind == "O" and all(type(v) in (int, float) for v in grid.flat):
+            grid = grid.astype(np.float64)  # Python ints past 2**64, which Level takes
+    except (ValueError, OverflowError):  # a ragged sequence, an int past float64
+        grid = None
+    if grid is None or grid.dtype.kind not in "iuf":  # no bools, strings or objects
+        raise PathError("bad-level-grid", "levels must be real numbers")
+    grid = grid.astype(np.float64, copy=False)
     if grid.ndim != 1 or grid.size == 0:
         raise PathError("bad-level-grid", "level grid must be a nonempty 1-d sequence")
     if not np.isfinite(grid).all() or np.min(grid) <= 0:
@@ -134,7 +143,8 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
         raise PathError("bad-level-grid", "levels must be strictly increasing")
     tv_values = np.empty(grid.size)
-    skeleton, min_gap = path.values, -np.inf
+    work = path.values.copy()
+    m, min_gap = work.size, -np.inf
     i = 0
     while i < grid.size:
         c = float(grid[i])
@@ -144,9 +154,11 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
             tv_values[i:j] = _fold(rises, grid[i:j]) + _fold(falls, grid[i:j])
             i = j
         else:
-            up, down, direction, skeleton = tv_scan(skeleton, c, True)
-            tv_values[i] = up + down
-            gaps = np.abs(np.diff(skeleton))
+            # the Python machine until perfbench's per-call bookkeeping stops
+            # growing with the call count (ROADMAP items 1 and 2)
+            up, down, direction, m = _window_scan(work[:m], c, skeleton=work)
+            tv_values[i] = checked_total(up + down)
+            gaps = np.abs(np.diff(work[:m]))
             min_gap = float(gaps.min()) if gaps.size else np.inf
             i += 1
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
@@ -205,8 +217,8 @@ def l1_upper_bound(
         raise PathError("empty-path", "need at least one component")
     c = level_value(c)
     try:
-        enough = int(grid_points) >= 2
-    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        enough = isinstance(grid_points, numbers.Real) and int(grid_points) >= 2
+    except (ValueError, OverflowError):  # nan, inf
         enough = False
     if not enough:
         raise PathError("bad-level-grid", "grid_points must be a number of at least 2")

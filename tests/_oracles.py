@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from truncvar import GeneratorSpec, generate, make_path, osc_norm, uniform_stream
+from truncvar._scan import _machine
 
 level_st = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 
@@ -48,6 +49,15 @@ def exhaustive_truncated(values, c: float, mode: int) -> float:
         if s > best:
             best = s
     return best
+
+
+def skeleton_scan(values, c):
+    """``(up, down, direction, skeleton)`` at level c from the trigger machine
+    of ``_machine`` (the native one where the library loads), with the
+    skeleton in an n-entry buffer."""
+    buf = np.empty(len(values))
+    up, down, direction, k = _machine(values, c, skeleton=buf)
+    return up, down, direction, buf[:k]
 
 
 def full_scan_loop(values, c):

@@ -29,11 +29,11 @@ from truncvar import (
     uniform_stream,
     zero_start_approximation,
 )
-from truncvar._scan import full_scan, tv_scan
+from truncvar._scan import full_scan
 from truncvar.cli import main
 from truncvar.pathio import read_path, write_path
 
-from _oracles import exhaustive_truncated, mixed_corpus
+from _oracles import exhaustive_truncated, mixed_corpus, skeleton_scan
 from conftest import python_route
 
 CORPUS = mixed_corpus(1000, seed=20260810, max_len=200)
@@ -252,7 +252,7 @@ def test_criterion_7_linear_scaling_python_route():
     # the fit exponent is the median of the rounds' exponents.
     sizes = [2 * 10**4, 10**5, 5 * 10**5]
     paths = [generate(GeneratorSpec("random-walk", n, seed=0)).values for n in sizes]
-    scans = {"full_scan": full_scan, "skeleton tv_scan": lambda x, c: tv_scan(x, c, True)}
+    scans = {"full_scan": full_scan, "skeleton scan": skeleton_scan}
     slopes = {}
     with python_route():
         for name, scan in scans.items():

@@ -11,10 +11,13 @@ patterns), the sign of a zero included; those tests are marked
 overflow and time-reversal tests (the last checks the totals-only scan
 without an oracle). The unmarked ``test_routes_agree_*`` tests compare the
 two routes with each other, and
-``test_every_sample_oscillator_fills_the_buffers`` checks the buffer
-contract the two machines share: bounds, null outputs and per-sample
-arrays, on the ctypes ``window_scan`` (through ``_machine``) and on
-``_window_scan``.
+``test_every_sample_oscillator_fills_the_buffers`` and
+``test_skeleton_may_overwrite_its_input`` check the buffer contract the two
+machines share: bounds, null outputs, per-sample arrays and a skeleton
+written over its own input, on the ctypes ``window_scan`` (through
+``_machine``) and on ``_window_scan``. Skeletons come from
+``_oracles.skeleton_scan``, so the tests read the native one where the
+library loads.
 """
 
 import math
@@ -45,7 +48,7 @@ from truncvar._scan import (
     tv_scan,
 )
 
-from _oracles import full_scan_loop, mixed_corpus
+from _oracles import full_scan_loop, mixed_corpus, skeleton_scan
 from conftest import needs_lib, python_route
 
 
@@ -82,7 +85,7 @@ def assert_scan_exact(vals, c):
     assert_same_bits(np.array([e for _, e in pairs]), extreme, "running_extremes")
 
     # the skeleton: regime lows and highs, interleaved
-    skeleton = tv_scan(x, c, True)[3]
+    skeleton = skeleton_scan(x, c)[3]
     first, second = (highs, lows) if direction == DOWN else (lows, highs)
     inter = np.empty(first.size + second.size)
     inter[0::2], inter[1::2] = first, second
@@ -190,19 +193,19 @@ def test_scaling_by_powers_of_two(vals, data):
     x = np.array(vals)
     c = data.draw(levels_for(x))
     scan = full_scan(x, c)
-    up, down, direction, skeleton = tv_scan(x, c, True)
+    up, down, direction, skeleton = skeleton_scan(x, c)
     regimes = detect_regimes(make_path(np.arange(x.size, dtype=float), x), c)
     for s in (2.0**-3, 2.0**5):
         scaled = full_scan(x * s, c * s)
         assert_same_bits(scaled.up, scan.up * s, "up")
         assert_same_bits(scaled.down, scan.down * s, "down")
-        got = tv_scan(x * s, c * s, True)
-        assert_same_bits(got[:2], np.array([up, down]) * s, "tv_scan totals")
+        got = skeleton_scan(x * s, c * s)
+        assert_same_bits(got[:2], np.array([up, down]) * s, "skeleton scan totals")
         assert got[2] == direction
         assert_same_bits(got[3], skeleton * s, "skeleton")
         got = tv_scan(x * s, c * s)  # totals only: the native machine where it loads
         assert_same_bits(got[:2], np.array([up, down]) * s, "totals-only tv_scan")
-        assert got[2] == direction and got[3] is None
+        assert got[2:] == (direction,)
         got = detect_regimes(make_path(np.arange(x.size, dtype=float), x * s), c * s)
         assert got.first_direction == regimes.first_direction
         assert_same_bits(got.up_times, regimes.up_times, "up_times")
@@ -225,8 +228,8 @@ def test_time_reversal_swaps_up_and_down(vals, data):
     times the summed gaps of the exact value."""
     x = np.array(vals)
     c = data.draw(levels_for(x))
-    up, down, _, skeleton = tv_scan(x, c, True)
-    up_rev, down_rev, _, _ = tv_scan(x[::-1], c)
+    up, down, _, skeleton = skeleton_scan(x, c)
+    up_rev, down_rev, _ = tv_scan(x[::-1], c)
     tol = skeleton.size * np.finfo(float).eps * np.abs(np.diff(skeleton)).sum()
     assert abs(up_rev - down) <= tol
     assert abs(down_rev - up) <= tol
@@ -264,7 +267,7 @@ def assert_routes_agree(vals, c):
     shared = [[a is b for a, b in zip(pairs, pairs[1:])] for pairs in (native[3], ref[3])]
     assert shared[0] == shared[1]
     assert_same_bits(native[4][:2], ref[4][:2], "tv_scan totals")
-    assert native[4][2] == ref[4][2] and native[4][3] is ref[4][3] is None
+    assert native[4][2:] == ref[4][2:] and len(native[4]) == 3
     assert all(type(t) is float for t in native[4][:2]) and type(native[4][2]) is int
     # the skeleton alone, with null window starts and per-sample arrays
     buf, ref_buf = np.empty(x.size + 1), np.empty(x.size + 1)
@@ -319,12 +322,39 @@ def test_every_sample_oscillator_fills_the_buffers(machine):
         assert_same_bits(got[:n], want, name)
         assert got[n] == -7.0, name
     # a null starts, then null starts and skeleton: the same count, totals and bits
-    for keep_skeleton in (True, False):
+    for with_skeleton in (True, False):
         again = np.full(n + 1, -7.0)
         others = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
-        *totals_again, k = machine(x, 1.0, None, again if keep_skeleton else None, others)
+        *totals_again, k = machine(x, 1.0, None, again if with_skeleton else None, others)
         assert k == n
         assert_same_bits(totals_again, totals)
-        assert_same_bits(again, skeleton if keep_skeleton else np.full(n + 1, -7.0))
+        assert_same_bits(again, skeleton if with_skeleton else np.full(n + 1, -7.0))
         for name, got, want in zip(ScanResult._fields, others, arrays):
             assert_same_bits(got, want, name)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [
+        pytest.param(_machine, marks=needs_lib, id="native"),
+        pytest.param(_window_scan, id="python"),
+    ],
+)
+def test_skeleton_may_overwrite_its_input(machine):
+    # sweep's ladder: each rung's scan writes its skeleton over its own input,
+    # which is safe only while every write lands behind the samples still to
+    # be read; the scan in place must give the bits of a separate buffer
+    corpus = [(path.values, c) for path, c in mixed_corpus(60, seed=2323, max_len=200)]
+    corpus.append((np.array([0.0, 1.0] * 50), 0.5))  # every sample after the first triggers
+    for x, c in corpus:
+        for rungs in ([c], [2.0 * c], [c, 2.0 * c]):
+            work = x.copy()
+            m = work.size
+            for level in rungs:
+                ref = np.empty(m)
+                want = machine(work[:m].copy(), level, None, ref)
+                got = machine(work[:m], level, None, work)
+                assert_same_bits(got[:2], want[:2], "totals")
+                assert got[2:] == want[2:]
+                m = got[3]
+                assert_same_bits(work[:m], ref[:m], "skeleton")

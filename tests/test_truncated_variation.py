@@ -31,6 +31,7 @@ from _oracles import (
     mixed_corpus,
     path_from,
     persistence_union_find,
+    skeleton_scan,
 )
 
 # the module, which the package's same-named function hides as an attribute
@@ -73,14 +74,16 @@ class TestFastPath:
             truncated_variation(p1, -1.0)
         assert err.value.code == "bad-level"
 
-    @pytest.mark.parametrize("c", [True, "0.5", None])
+    @pytest.mark.parametrize("c", [True, "0.5", None, pytest.param(10**400, id="10**400")])
     def test_level_must_be_a_real_number(self, p1, c):
         # the rules of Level: a bool or a string is no level, even if float() takes it
         with pytest.raises(PathError) as err:
             truncated_variation(p1, c)
         assert err.value.code == "bad-level"
 
-    @pytest.mark.parametrize("c", [1, np.float32(0.5), np.int64(1)])
+    @pytest.mark.parametrize(
+        "c", [1, np.float32(0.5), np.int64(1), pytest.param(10**20, id="10**20")]
+    )
     def test_numeric_levels_are_accepted(self, p1, c):
         assert truncated_variation(p1, c) == truncated_variation(p1, float(c))
 
@@ -153,10 +156,18 @@ class TestSweep:
         assert curve.tv_values[0] == pytest.approx(3.8, abs=5e-12)
 
     def test_rejects_bad_grids(self, p1):
-        for bad in ([], [0.5, 0.5], [0.2, 0.1], [-1.0, 1.0], [0.0, 1.0]):
+        for bad in (
+            [], [0.5, 0.5], [0.2, 0.1], [-1.0, 1.0], [0.0, 1.0],
+            [True], ["0.5"], [10**400], [0.5, 10**400], [[0.5], [1.0, 2.0]],
+        ):
             with pytest.raises(PathError) as err:
                 sweep(p1, bad)
             assert err.value.code == "bad-level-grid"
+
+    def test_takes_the_levels_level_takes(self, p1):
+        # Python ints past int64 make an object array; each is a valid Level
+        curve = sweep(p1, [0.5, 10**20])
+        assert curve.tv_values.tolist() == [truncated_variation(p1, c).tv for c in (0.5, 10**20)]
 
 
 class TestL1UpperBound:
@@ -186,7 +197,7 @@ class TestL1UpperBound:
             l1_upper_bound([p1, p3], 0.5)
         assert err.value.code == "domain-mismatch"
 
-    @pytest.mark.parametrize("points", [1, None, float("inf"), "x", float("nan")])
+    @pytest.mark.parametrize("points", [1, None, float("inf"), "x", float("nan"), "3"])
     def test_bad_grid_points_is_a_level_grid_error(self, p1, points):
         with pytest.raises(PathError) as err:
             l1_upper_bound([p1], 0.6, grid_points=points)
@@ -280,7 +291,7 @@ def assert_certified(path, c):
     x = path.values
     regimes = regime_scan(x, c)
     starts = np.sort(np.concatenate([[0], regimes.up_times, regimes.down_times]))
-    skeleton = tv_scan(x, c, True)[3]
+    skeleton = skeleton_scan(x, c)[3]
     k = skeleton.size
     window = np.repeat(np.arange(k), np.diff(np.append(starts, x.size)))
     hits = np.flatnonzero(x == skeleton[window])
@@ -335,7 +346,7 @@ def test_sweep_shape_on_corpus():
 def assert_skeleton_exact(vals, c0, c):
     """The level-c0 skeleton scans like the samples at c >= c0, bit for bit."""
     x = np.array(vals, dtype=float)
-    _, _, _, skeleton = tv_scan(x, c0, True)
+    _, _, _, skeleton = skeleton_scan(x, c0)
     assert skeleton.dtype == np.float64
     assert tv_scan(skeleton, c) == tv_scan(x, c)
     # the skeleton is the scan's regime lows and highs, interleaved
@@ -525,7 +536,7 @@ def skeleton_gap_levels(x, levels):
     with the gap's neighbours 1 ulp away: the ends of a closed-form run."""
     out = list(levels)
     for c in levels:
-        gaps = np.abs(np.diff(tv_scan(np.array(x, dtype=float), c, True)[3]))
+        gaps = np.abs(np.diff(skeleton_scan(np.array(x, dtype=float), c)[3]))
         if gaps.size:
             gap = float(gaps.min())
             out += [gap, float(np.nextafter(gap, 0.0)), float(np.nextafter(gap, np.inf))]
@@ -564,8 +575,10 @@ def test_ladder_edge_cases(vals, batches):
 def count_scans(monkeypatch):
     """The level of every scan ``sweep`` runs, in order."""
     scans = []
-    scan = tv_module.tv_scan
-    monkeypatch.setattr(tv_module, "tv_scan", lambda *a: scans.append(a[1]) or scan(*a))
+    scan = tv_module._window_scan
+    monkeypatch.setattr(
+        tv_module, "_window_scan", lambda *a, **kw: scans.append(a[1]) or scan(*a, **kw)
+    )
     return scans
 
 
@@ -590,7 +603,7 @@ def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
         for g in grid.tolist():
             if g > min_gap:
                 want.append(g)
-                gaps = np.abs(np.diff(tv_scan(path.values, g, True)[3]))
+                gaps = np.abs(np.diff(skeleton_scan(path.values, g)[3]))
                 min_gap = float(gaps.min()) if gaps.size else np.inf
         assert scans == want
 
