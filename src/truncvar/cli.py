@@ -38,7 +38,7 @@ from .optimal_approx import (
     step_skeleton,
     zero_start_approximation,
 )
-from .path_model import PathError, SampledPath, osc_norm, total_variation
+from .path_model import PathError, SampledPath, osc_norm, positive_reals, total_variation
 from .pathio import (
     FileFormatError,
     codec,
@@ -47,7 +47,7 @@ from .pathio import (
     write_columns,
     write_path,
 )
-from .synth import KINDS, GeneratorSpec, generate
+from .synth import _EXTRA_KEYS, KINDS, GeneratorSpec, generate
 from .truncated_variation import (
     oracle_truncated_variation,
     prefix_curves,
@@ -64,7 +64,7 @@ EXIT_IO = 5
 _DATA_CODES = {"empty-path", "length-mismatch", "non-finite", "times-not-increasing"}
 
 # the generator's optional knobs: GeneratorSpec.extra keys, and gen's flags
-_GEN_EXTRA = ("jump_prob", "jump_scale", "target_level", "amplitude_ratio")
+_GEN_EXTRA = tuple(key for knobs in _EXTRA_KEYS.values() for key in knobs)
 
 
 def _digest(path: SampledPath) -> list[tuple[str, object]]:
@@ -109,10 +109,9 @@ def _parse_levels(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise PathError("bad-level-grid", f"non-numeric grid {spec!r}") from None
-    if not all(np.isfinite(x) for x in (lo, hi, step)):
-        raise PathError("bad-level-grid", "grid bounds must be finite")
-    if lo <= 0 or step <= 0 or hi < lo:
-        raise PathError("bad-level-grid", "need 0 < lo <= hi and step > 0")
+    positive_reals([lo, hi, step], "bad-level-grid", "lo, hi and step")
+    if hi < lo:
+        raise PathError("bad-level-grid", "need lo <= hi")
     try:
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         return lo + step * np.arange(count)

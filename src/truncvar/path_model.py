@@ -59,26 +59,47 @@ class SampledPath:
 
 @dataclass(frozen=True)
 class Level:
-    """Strictly positive, finite threshold in the same units as path values."""
+    """Strictly positive, finite threshold in the same units as path values.
+
+    The rule of every level, level grid and generator parameter: an int, a
+    float, or a numpy integer or float (no bool or ``np.timedelta64``) whose
+    float64 value is finite and > 0; see :func:`positive_real`.
+    """
 
     c: float
 
     def __post_init__(self):
-        c = self.c
-        if isinstance(c, bool) or not isinstance(c, (int, float, np.floating, np.integer)):
-            raise PathError("bad-level", f"level must be a real number, got {c!r}")
-        try:
-            finite = math.isfinite(c)
-        except OverflowError:  # an int past float64
-            finite = False
-        if not finite or c <= 0:
-            raise PathError("bad-level", f"level must be finite and > 0, got {c!r}")
+        positive_real(self.c, "bad-level", "level")
+
+
+def positive_real(value, code: str, what: str) -> float:
+    """``float(value)`` if it follows the rule of :class:`Level`, else PathError ``code``."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or isinstance(value, (bool, np.timedelta64)):
+        raise PathError(code, f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past float64
+        x = math.inf
+    if not (math.isfinite(x) and x > 0):
+        raise PathError(code, f"{what} must be finite and > 0, got {value!r}")
+    return x
+
+
+def positive_reals(values, code: str, what: str) -> np.ndarray:
+    """``values`` as float64 by :func:`positive_real`, or by dtype for an int or float ndarray."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    x = values.astype(np.float64, copy=False) if kind in "iuf" else None
+    if x is not None and np.isfinite(x).all() and np.all(x > 0):
+        return x
+    if kind == "O" and np.iterable(values):
+        return np.array([positive_real(v, code, what) for v in values])
+    raise PathError(code, f"every {what} must be a real number, finite and > 0")
 
 
 def level_value(c) -> float:
-    """Validate a level given as a :class:`Level` or a bare number, by the
-    rules of :class:`Level`."""
-    return float((c if isinstance(c, Level) else Level(c)).c)
+    """A :class:`Level` or a bare number, by the rule of :class:`Level`, as a float."""
+    return float(c.c) if isinstance(c, Level) else positive_real(c, "bad-level", "level")
 
 
 def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
@@ -89,8 +110,11 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
     ``value-span-overflow`` (finite values whose ``max - min`` overflows:
     every increment and truncated variation would read ``inf``).
     """
-    t = np.array(times, dtype=np.float64)
-    v = np.array(values, dtype=np.float64)
+    try:
+        t = np.array(times, dtype=np.float64)
+        v = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # "a", a ragged list, an int past float64
+        raise PathError("non-finite", "times and values must be real numbers") from None
     if t.ndim != 1 or v.ndim != 1:
         raise PathError("length-mismatch", "times and values must be one-dimensional")
     if t.size == 0 and v.size == 0:
@@ -166,11 +190,20 @@ def negate(path: SampledPath) -> SampledPath:
     return SampledPath(path.times, _frozen(-path.values))
 
 
+def _finite(x, what: str) -> float:
+    """``float(x)`` if it exists and is finite, else PathError ``non-finite``."""
+    try:
+        a = float(x)
+    except (TypeError, ValueError, OverflowError):  # None, "a", an int past float64
+        a = math.nan
+    if not math.isfinite(a):
+        raise PathError("non-finite", f"{what} must be a finite number, got {x!r}")
+    return a
+
+
 def add_constant(path: SampledPath, alpha: float) -> SampledPath:
     """Shift all values by ``alpha`` on the same time grid, checked by :func:`make_path`."""
-    a = float(alpha)
-    if not np.isfinite(a):
-        raise PathError("non-finite", f"shift must be finite, got {alpha!r}")
+    a = _finite(alpha, "shift")
     with np.errstate(over="ignore"):  # an overflowed value raises non-finite
         return make_path(path.times, path.values + a)
 
@@ -184,6 +217,7 @@ def combine(
     the result is exact under step semantics. Requires identical domains.
     """
     _require_same_domain(f, g)
-    wf, wg = float(weights[0]), float(weights[1])
+    wf, wg = _finite(weights[0], "weight"), _finite(weights[1], "weight")
     t, fv, gv = _on_union_grid(f, g)
-    return make_path(t, wf * fv + wg * gv)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises non-finite
+        return make_path(t, wf * fv + wg * gv)

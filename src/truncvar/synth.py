@@ -9,14 +9,23 @@ reproduce byte-identical paths on any platform, and any language with
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .path_model import PathError, SampledPath, make_path
+from .path_model import PathError, SampledPath, make_path, positive_real
 
-KINDS = ("random-walk", "jump-mixture", "ramp", "near-threshold-oscillator")
+# the generator kinds, in the order of KINDS, each with its knobs
+# (GeneratorSpec.extra keys) and their defaults, in the order of gen's flags
+_EXTRA_KEYS = {
+    "random-walk": {},
+    "jump-mixture": {"jump_prob": 0.05, "jump_scale": 10.0},
+    "ramp": {},
+    "near-threshold-oscillator": {"target_level": 1.0, "amplitude_ratio": 0.999},
+}
+KINDS = tuple(_EXTRA_KEYS)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -51,6 +60,9 @@ class GeneratorSpec:
         ``amplitude_ratio * target_level``, so ratios below 1 stay invisible
         at the target level and ratios above 1 are seen at every swing.
         ``scale`` is ignored for this kind.
+    ``scale`` and the knobs follow the rule of :class:`~truncvar.path_model.Level`;
+    ``length`` and ``seed`` are integers, not bools (else PathError
+    ``bad-generator-spec``).
     """
 
     kind: str
@@ -60,37 +72,44 @@ class GeneratorSpec:
     extra: Mapping[str, float] = field(default_factory=dict)
 
 
-_EXTRA_KEYS = {
-    "random-walk": frozenset(),
-    "ramp": frozenset(),
-    "jump-mixture": frozenset({"jump_prob", "jump_scale"}),
-    "near-threshold-oscillator": frozenset({"target_level", "amplitude_ratio"}),
-}
+def _whole(value, what: str) -> int:
+    """``operator.index(value)`` for an integer other than a bool, else
+    PathError ``bad-generator-spec``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:  # a float, a string, None
+        pass
+    raise PathError("bad-generator-spec", f"{what} must be an integer, got {value!r}")
 
 
-def _check_spec(spec: GeneratorSpec) -> None:
+def _check_spec(spec: GeneratorSpec) -> tuple[int, int, float, dict[str, float]]:
+    """``(length, seed, scale, knobs)`` of a valid spec; ``knobs`` holds every
+    knob of its kind, defaults filled in."""
     if spec.kind not in KINDS:
         raise PathError("unknown-generator", f"unknown generator kind {spec.kind!r}")
-    if int(spec.length) < 1:
+    n, seed = _whole(spec.length, "length"), _whole(spec.seed, "seed")
+    if n < 1:
         raise PathError("bad-generator-spec", "length must be >= 1")
-    if not np.isfinite(spec.scale) or spec.scale <= 0:
-        raise PathError("bad-generator-spec", "scale must be finite and > 0")
-    if int(spec.seed) < 0:
+    if seed < 0:
         raise PathError("bad-generator-spec", "seed must be a nonnegative integer")
-    unknown = set(spec.extra) - _EXTRA_KEYS[spec.kind]
+    scale = positive_real(spec.scale, "bad-generator-spec", "scale")
+    unknown = set(spec.extra) - set(_EXTRA_KEYS[spec.kind])
     if unknown:
         raise PathError(
             "bad-generator-spec",
             f"unknown parameters for {spec.kind}: {sorted(unknown)}",
         )
+    knobs = {key: spec.extra.get(key, d) for key, d in _EXTRA_KEYS[spec.kind].items()}
+    knobs = {key: positive_real(v, "bad-generator-spec", key) for key, v in knobs.items()}
+    if knobs.get("jump_prob", 0.0) > 1.0:
+        raise PathError("bad-generator-spec", "jump_prob must be in (0, 1]")
+    return n, seed, scale, knobs
 
 
 def generate(spec: GeneratorSpec) -> SampledPath:
     """Build the path described by ``spec``; times are 0 .. length-1."""
-    _check_spec(spec)
-    n = int(spec.length)
-    seed = int(spec.seed)
-    scale = float(spec.scale)
+    n, seed, scale, knobs = _check_spec(spec)
     try:
         times = np.arange(np.intp(n), dtype=np.float64)
     except (OverflowError, ValueError, MemoryError):
@@ -104,12 +123,7 @@ def generate(spec: GeneratorSpec) -> SampledPath:
         steps = scale * (2.0 * uniform_stream(seed, n - 1) - 1.0)
         values = np.concatenate([[0.0], np.cumsum(steps)])
     elif spec.kind == "jump-mixture":
-        p = float(spec.extra.get("jump_prob", 0.05))
-        jump_scale = float(spec.extra.get("jump_scale", 10.0))
-        if not (0.0 < p <= 1.0):
-            raise PathError("bad-generator-spec", "jump_prob must be in (0, 1]")
-        if not np.isfinite(jump_scale) or jump_scale <= 0:
-            raise PathError("bad-generator-spec", "jump_scale must be > 0")
+        p, jump_scale = knobs["jump_prob"], knobs["jump_scale"]
         u_step = uniform_stream(seed, n - 1, start=0)
         u_jump = uniform_stream(seed, n - 1, start=n)
         u_mag = uniform_stream(seed, n - 1, start=2 * n)
@@ -119,13 +133,7 @@ def generate(spec: GeneratorSpec) -> SampledPath:
         )
         values = np.concatenate([[0.0], np.cumsum(steps)])
     else:  # near-threshold-oscillator
-        target = float(spec.extra.get("target_level", 1.0))
-        ratio = float(spec.extra.get("amplitude_ratio", 0.999))
-        if not np.isfinite(target) or target <= 0:
-            raise PathError("bad-generator-spec", "target_level must be > 0")
-        if not np.isfinite(ratio) or ratio <= 0:
-            raise PathError("bad-generator-spec", "amplitude_ratio must be > 0")
-        amp = ratio * target
+        amp = knobs["amplitude_ratio"] * knobs["target_level"]
         values = np.where(np.arange(n) % 2 == 1, amp, 0.0)
 
     return make_path(times, values)

@@ -10,7 +10,6 @@ dynamic program and exists purely to cross-check the scan.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +22,8 @@ from .path_model import (
     _frozen,
     level_value,
     osc_norm,
+    positive_real,
+    positive_reals,
 )
 
 
@@ -125,23 +126,12 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     ``truncated_variation(path, levels[i]).tv`` bit for bit, at a cost near
     one scan of the path for the whole grid. A closed form adds, in the same
     order, terms no larger than those of the scan that emitted its
-    skeleton, so it is finite when that scan's checked total is.
+    skeleton, so it is finite when that scan's checked total is. Each level
+    follows the rule of :class:`Level` (PathError ``bad-level-grid``).
     """
-    try:
-        grid = np.asarray(levels)
-        if grid.dtype.kind == "O" and all(type(v) in (int, float) for v in grid.flat):
-            grid = grid.astype(np.float64)  # Python ints past 2**64, which Level takes
-    except (ValueError, OverflowError):  # a ragged sequence, an int past float64
-        grid = None
-    if grid is None or grid.dtype.kind not in "iuf":  # no bools, strings or objects
-        raise PathError("bad-level-grid", "levels must be real numbers")
-    grid = grid.astype(np.float64, copy=False)
-    if grid.ndim != 1 or grid.size == 0:
-        raise PathError("bad-level-grid", "level grid must be a nonempty 1-d sequence")
-    if not np.isfinite(grid).all() or np.min(grid) <= 0:
-        raise PathError("bad-level-grid", "levels must be finite and > 0")
-    if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
-        raise PathError("bad-level-grid", "levels must be strictly increasing")
+    grid = positive_reals(levels, "bad-level-grid", "level")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid[1:] > grid[:-1]):
+        raise PathError("bad-level-grid", "levels must be a nonempty, strictly increasing 1-d grid")
     tv_values = np.empty(grid.size)
     work = path.values.copy()
     m, min_gap = work.size, -np.inf
@@ -208,20 +198,16 @@ def l1_upper_bound(
     or above the floor. The bound is one scan per component at its level,
     summed in component order, so it equals
     ``sum(truncated_variation(f_i, c_i).tv)`` and is attained. Returns the
-    bound and the split. ``grid_points`` must be a number whose ``int`` is at
-    least 2 (else PathError ``bad-level-grid``) and is otherwise ignored; it
-    is kept so that existing callers keep working.
+    bound and the split. ``grid_points`` must be a real number (the rule of
+    :class:`Level`) of at least 2, else PathError ``bad-level-grid``, and is
+    otherwise ignored; it is kept so that existing callers keep working.
     """
     comps = list(components)
     if not comps:
         raise PathError("empty-path", "need at least one component")
     c = level_value(c)
-    try:
-        enough = isinstance(grid_points, numbers.Real) and int(grid_points) >= 2
-    except (ValueError, OverflowError):  # nan, inf
-        enough = False
-    if not enough:
-        raise PathError("bad-level-grid", "grid_points must be a number of at least 2")
+    if positive_real(grid_points, "bad-level-grid", "grid_points") < 2:
+        raise PathError("bad-level-grid", "grid_points must be at least 2")
     if any(not np.array_equal(p.times, comps[0].times) for p in comps[1:]):
         raise PathError("domain-mismatch", "components must share one time grid")
     n_comp = len(comps)

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncvar import (
+    GeneratorSpec,
+    Level,
     PathError,
     add_constant,
     combine,
     evaluate,
     make_path,
     negate,
+    generate,
     osc_norm,
     sup_distance,
+    sweep,
     total_variation,
+    truncated_variation,
 )
 
 from _oracles import path_from
@@ -53,6 +60,12 @@ class TestMakePath:
         with pytest.raises(PathError) as err:
             make_path(times, values)
         assert err.value.code == "length-mismatch"
+
+    @pytest.mark.parametrize("values", [["a", "2"], [[1], [2, 3]], [10**400, 1]])
+    def test_values_that_are_no_numbers_are_non_finite(self, values):
+        with pytest.raises(PathError) as err:
+            make_path([0, 1], values)
+        assert err.value.code == "non-finite"
 
     def test_arrays_are_read_only(self, p1):
         with pytest.raises(ValueError):
@@ -117,12 +130,29 @@ class TestAlgebra:
             add_constant(p, 2.161068974061451e306)
         assert err.value.code == "value-span-overflow"
 
+    @pytest.mark.parametrize("alpha", [pytest.param(10**400, id="10**400"), "a", None])
+    def test_add_constant_rejects_a_shift_that_is_no_finite_number(self, p3, alpha):
+        with pytest.raises(PathError) as err:
+            add_constant(p3, alpha)
+        assert err.value.code == "non-finite"
+
     def test_combine_union_grid(self):
         f = make_path([0, 2], [1.0, 1.0])
         g = make_path([0, 1, 2], [0.0, 2.0, 2.0])
         h = combine(f, g)
         assert h.times.tolist() == [0, 1, 2]
         assert h.values.tolist() == [1.0, 3.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "weights", [("a", 1), (float("inf"), 1), (1, float("nan")), (10**400, 1), (1e308, 1e308)]
+    )
+    def test_combine_rejects_bad_weights_without_warnings(self, weights):
+        f = make_path([0, 1], [1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathError) as err:
+                combine(f, f, weights)
+        assert err.value.code == "non-finite"
 
     def test_combine_domain_mismatch(self, p1, p3):
         with pytest.raises(PathError):
@@ -198,3 +228,35 @@ def test_total_variation_overflow_is_a_path_error_without_warnings():
             total_variation(path)
         assert err.value.code == "tv-overflow"
         assert total_variation(make_path([0, 1], [-8e307, 8e307])) == 1.6e308
+
+
+# the rule of Level, which every level, level grid and generator parameter follows
+_POSITIVE_REALS = [0.5, 1, np.float32(0.5), np.longdouble(0.5), np.int64(2), np.uint8(1), 10**20]
+_NOT_POSITIVE_REALS = [
+    True, np.True_, "0.5", None, 0.5 + 0j, Fraction(1, 2), Decimal("0.5"), np.array(0.5),
+    np.array([0.5]), np.timedelta64(1), float("nan"), float("inf"), 0, -1, 10**400,
+]
+
+
+@pytest.mark.parametrize(
+    "x, accepted",
+    [(x, True) for x in _POSITIVE_REALS] + [(x, False) for x in _NOT_POSITIVE_REALS],
+    ids=repr,
+)
+def test_one_positive_real_rule(p1, x, accepted):
+    checks = [
+        (lambda: Level(x), "bad-level"),
+        (lambda: sweep(p1, [x]), "bad-level-grid"),
+        (lambda: generate(GeneratorSpec("ramp", 3, scale=x)), "bad-generator-spec"),
+        (lambda: generate(GeneratorSpec("jump-mixture", 3, extra={"jump_scale": x})),
+         "bad-generator-spec"),
+    ]
+    for call, code in checks:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(PathError) as err:
+                call()
+            assert err.value.code == code
+    if accepted:
+        assert sweep(p1, [x]).tv_values.tolist() == [truncated_variation(p1, x).tv]

@@ -88,6 +88,23 @@ def test_bad_spec_rejected():
         GeneratorSpec("ramp", 5, extra={"nope": 1.0}),
         GeneratorSpec("jump-mixture", 5, extra={"jump_prob": 2.0}),
         GeneratorSpec("ramp", 10**19),  # too long: fails before anything is allocated
+        # length and seed are integers, not bools
+        GeneratorSpec("ramp", 5.7),
+        GeneratorSpec("ramp", "5"),
+        GeneratorSpec("ramp", True),
+        GeneratorSpec("ramp", None),
+        GeneratorSpec("ramp", 5, seed="3"),
+        GeneratorSpec("ramp", 5, seed=2.5),
+        GeneratorSpec("ramp", 5, seed=None),
+        # scale and the knobs are positive reals by the rule of Level
+        GeneratorSpec("ramp", 5, scale=True),
+        GeneratorSpec("ramp", 5, scale="2"),
+        GeneratorSpec("ramp", 5, scale=10**400),
+        GeneratorSpec("jump-mixture", 5, extra={"jump_scale": True}),
+        GeneratorSpec("jump-mixture", 5, extra={"jump_scale": "x"}),
+        GeneratorSpec("jump-mixture", 5, extra={"jump_prob": "0.5"}),
+        GeneratorSpec("near-threshold-oscillator", 5, extra={"target_level": None}),
+        GeneratorSpec("near-threshold-oscillator", 5, extra={"amplitude_ratio": 10**400}),
     ):
         with pytest.raises(PathError) as err:
             generate(spec)

@@ -159,6 +159,8 @@ class TestSweep:
         for bad in (
             [], [0.5, 0.5], [0.2, 0.1], [-1.0, 1.0], [0.0, 1.0],
             [True], ["0.5"], [10**400], [0.5, 10**400], [[0.5], [1.0, 2.0]],
+            [0.5, True], [True, 2], [0.5, np.True_], [np.array(0.5), 1.0],
+            np.array([np.timedelta64(1)]), np.array([True]),
         ):
             with pytest.raises(PathError) as err:
                 sweep(p1, bad)
