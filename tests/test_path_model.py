@@ -14,9 +14,9 @@ from truncvar import (
     add_constant,
     combine,
     evaluate,
+    generate,
     make_path,
     negate,
-    generate,
     osc_norm,
     sup_distance,
     sweep,
@@ -238,10 +238,14 @@ _NOT_POSITIVE_REALS = [
 ]
 
 
+def _case_id(v):
+    return f"10**{len(str(v)) - 1}" if type(v) is int and v > 10**6 else repr(v)
+
+
 @pytest.mark.parametrize(
     "x, accepted",
     [(x, True) for x in _POSITIVE_REALS] + [(x, False) for x in _NOT_POSITIVE_REALS],
-    ids=repr,
+    ids=_case_id,
 )
 def test_one_positive_real_rule(p1, x, accepted):
     checks = [
