@@ -17,8 +17,8 @@ import numpy as np
 
 from .path_model import PathError, SampledPath, make_path, positive_real
 
-# the generator kinds, in the order of KINDS, each with its knobs
-# (GeneratorSpec.extra keys) and their defaults, in the order of gen's flags
+# the generator kinds in the order of gen's --kind choices, each with its
+# knobs (GeneratorSpec.extra keys) and their defaults in the order of its flags
 _EXTRA_KEYS = {
     "random-walk": {},
     "jump-mixture": {"jump_prob": 0.05, "jump_scale": 10.0},
