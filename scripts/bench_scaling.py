@@ -10,8 +10,11 @@ machine on both routes until ROADMAP items 1 and 2 land. It times every
 size once per round, in CPU time per call, over several rounds, so a slow
 phase of a shared machine slows the sizes of a round alike. It prints a
 table of the median over the rounds, whose ``route`` column names the
-route that ran, and the log-log fit exponent of each query on each route
-(1.0 means linear): the median of the rounds' exponents. It also compares
+route that ran, with the minor page faults per call (the process's
+``ru_minflt`` count over a cell's calls, divided by the calls: a fresh
+array that the allocator maps anew faults on first write), and the log-log
+fit exponent of each query on each route (1.0 means linear): the median of
+the rounds' exponents. It also compares
 the fast scan on each route against the quadratic oracle at a desk-scale
 size as a sanity check.
 
@@ -27,6 +30,7 @@ names the route that ran. For example::
 
 import argparse
 import os
+import resource
 import tempfile
 import time
 from functools import partial
@@ -52,12 +56,19 @@ ROUNDS = 5
 LADDER_LEVELS = 32
 
 
+def minor_faults():
+    """The minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cpu_time(fn, reps):
-    """The mean CPU time of ``reps`` calls of ``fn``."""
+    """The mean CPU time and minor page faults of ``reps`` calls of ``fn``."""
+    f0 = minor_faults()
     t0 = time.process_time()
     for _ in range(reps):
         fn()
-    return (time.process_time() - t0) / reps
+    t = time.process_time() - t0
+    return t / reps, (minor_faults() - f0) / reps
 
 
 def routes():
@@ -68,8 +79,9 @@ def routes():
 
 
 def time_rounds(cells, libraries):
-    """The CPU time per call of each cell's calls (one per size) on each route,
-    once per round: ``{(name, route): [per-size times of a round, ...]}``."""
+    """The CPU time and minor faults per call of each cell's calls (one per
+    size) on each route, once per round: ``{(name, route): [per-size
+    (time, faults) of a round, ...]}``."""
     rounds = {}
     for _ in range(ROUNDS):
         for name, calls in cells.items():
@@ -82,17 +94,20 @@ def time_rounds(cells, libraries):
 
 
 def report(sizes, rounds, heads, rate):
-    """Print the median time of every cell at every size with its
-    ``rate(name, n, t)``, then the median of the rounds' fit exponents."""
+    """Print the median time and minor faults of every cell at every size
+    with its ``rate(name, n, t)``, then the median of the rounds' fit exponents."""
     name_head, route_head, rate_head = heads
-    print(f"{'n':>12} {name_head:>20} {route_head:>7} {'median_ms':>12} {rate_head:>12}")
+    print(f"{'n':>12} {name_head:>20} {route_head:>7} {'median_ms':>12} {rate_head:>12}"
+          f" {'faults/call':>12}")
     for i, n in enumerate(sizes):
         for (name, route), route_rounds in rounds.items():
-            t = float(np.median([times[i] for times in route_rounds]))
-            print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {rate(name, n, t):>12.1f}")
+            t, faults = np.median([cells[i] for cells in route_rounds], axis=0).tolist()
+            print(f"{n:>12,} {name:>20} {route:>7} {t * 1e3:>12.3f} {rate(name, n, t):>12.1f}"
+                  f" {faults:>12.1f}")
     if len(sizes) >= 2:
         for (name, route), route_rounds in rounds.items():
-            slopes = [np.polyfit(np.log(sizes), np.log(t), 1)[0] for t in route_rounds]
+            slopes = [np.polyfit(np.log(sizes), np.log([t for t, _ in cells]), 1)[0]
+                      for cells in route_rounds]
             print(f"log-log fit exponent ({name}, {route}): {float(np.median(slopes)):.3f}")
 
 

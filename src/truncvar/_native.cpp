@@ -164,14 +164,18 @@ int64_t parse_rows(const char* text, int64_t len, double* times, double* values,
 // written once values[w + 1] or a later sample has been read, so skeleton may
 // be values itself.
 //
-// approx, up and down are null together, or each holds n entries for the
-// arrays of truncvar._scan.full_scan, written from the state each sample
-// leaves. anchor is the extreme the open regime started from: a peak's
-// valley, a valley's peak. In a peak, approx = run_max - c/2, up = up_total +
-// ((run_max - anchor) - c) and down = down_total; in a valley the mirror
-// image. The undecided window, filled after the walk, gets up = down = 0.0
-// and approx = its final extreme's band: anchor + c/2 at an up trigger,
-// anchor - c/2 at a down trigger, run_min + c/2 if nothing triggers.
+// up and down are null together, or each holds n entries for the rise/fall
+// arrays of truncvar._scan.full_scan and truncvar._scan.rise_fall, written
+// from the state each sample leaves. approx, the band, holds n entries too,
+// or is null on its own (rise_fall asks for no band); then each band value
+// goes to up[j] just before up's own value overwrites it, so the loop keeps
+// one shape with or without the band. anchor is the extreme the open regime
+// started from: a peak's valley, a valley's peak. In a peak, approx =
+// run_max - c/2, up = up_total + ((run_max - anchor) - c) and down =
+// down_total; in a valley the mirror image. The undecided window, filled
+// after the walk, gets up = down = 0.0 and approx = its final extreme's band:
+// anchor + c/2 at an up trigger, anchor - c/2 at a down trigger, run_min +
+// c/2 if nothing triggers.
 int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                     double* skeleton, double* approx, double* up, double* down,
                     double* totals) {
@@ -188,6 +192,7 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
     double anchor = 0.0;      // the extreme the open regime started from
     double seek_band = 0.0;   // approx over the undecided window, set when it ends
     int64_t seek_end = n;     // the first trigger, where the undecided window ends
+    double* band = approx ? approx : up;  // without approx, up[j] overwrites the band
     auto fire = [&](int64_t j) {
         if (skeleton) skeleton[k - 1] = anchor;
         if (starts) starts[k] = j;
@@ -232,21 +237,21 @@ int64_t window_scan(const double* values, int64_t n, double c, int64_t* starts,
                 run_max = v;
             }
         }
-        if (!approx) continue;
+        if (!up) continue;
         if (phase == UP) {
-            approx[j] = run_max - half;
+            band[j] = run_max - half;
             up[j] = up_total + ((run_max - anchor) - c);
             down[j] = down_total;
         } else {
-            approx[j] = run_min + half;
+            band[j] = run_min + half;
             up[j] = up_total;
             down[j] = down_total + ((anchor - run_min) - c);
         }
     }
-    if (approx) {
+    if (up) {
         if (k == 1) seek_band = run_min + half;
         for (int64_t j = 0; j < seek_end; ++j) {
-            approx[j] = seek_band;
+            band[j] = seek_band;
             up[j] = down[j] = 0.0;
         }
     }

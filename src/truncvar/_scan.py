@@ -16,9 +16,11 @@ There is one state machine, ``_window_scan``, and ``window_scan`` in
 besides the totals, each writes by index only the buffers its caller hands
 it, the window starts and the skeleton (below), and ``full_scan``'s arrays
 from the state each sample leaves, so every scan is one walk of the
-samples on either route. ``_machine`` runs the native one when the library
-loads and ``_window_scan`` otherwise; the totals-only ``tv_scan``,
-``regime_scan`` and ``full_scan`` go through it. Only the skeleton ladder of
+samples on either route. The band ``approx`` may be left out on its own,
+which ``rise_fall`` does for the consumers that read only the rise/fall
+pair. ``_machine`` runs the native one when the library loads and
+``_window_scan`` otherwise; the totals-only ``tv_scan``, ``regime_scan``,
+``full_scan`` and ``rise_fall`` go through it. Only the skeleton ladder of
 ``truncated_variation.sweep`` calls ``_window_scan`` on either route.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
@@ -88,8 +90,10 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
     skeleton into ``skeleton`` (float64), and into ``out`` the ``approx``,
     ``up`` and ``down`` of ``full_scan`` from the state each sample leaves;
     the undecided window gets ``up = down = 0.0`` and the band of its final
-    extreme. Every buffer holds n entries; ``starts`` and ``skeleton`` get
-    their k first written. Sample 0 never triggers (c > 0), so k <= n, and
+    extreme. ``out`` is None, or its ``approx`` alone may be None, as in
+    ``rise_fall``: then each band value goes to ``up[j]`` just before up's
+    own value overwrites it. Every buffer holds n entries; ``starts`` and
+    ``skeleton`` get their k first written. Sample 0 never triggers (c > 0), so k <= n, and
     the w-th skeleton value is written once sample w + 1 or a later one has
     been read: ``skeleton`` may be ``values`` itself. A buffer that is None
     is skipped. The totals are not checked here; its callers run
@@ -105,7 +109,8 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
         skeleton = memoryview(skeleton)
     write = out is not None
     if write:
-        approx, up, down = (memoryview(a) for a in out)
+        approx, up, down = (None if a is None else memoryview(a) for a in out)
+        band = up if approx is None else approx  # without approx, up[j] overwrites the band
     run_min = run_max = samples[0]
     phase = direction = SEEK
     up_total = down_total = 0.0
@@ -118,7 +123,7 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
                 run_max = v
             if not run_max - v >= c:
                 if write:
-                    approx[j] = run_max - half
+                    band[j] = run_max - half
                     up[j] = up_total + ((run_max - anchor) - c)
                     down[j] = down_total
                 continue
@@ -131,7 +136,7 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
                 run_min = v
             if not v - run_min >= c:
                 if write:
-                    approx[j] = run_min + half
+                    band[j] = run_min + half
                     up[j] = up_total
                     down[j] = down_total + ((anchor - run_min) - c)
                 continue
@@ -165,11 +170,11 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
             starts[w] = j
         if write:  # the new window's extreme is v
             if phase == UP:
-                approx[j] = run_max - half
+                band[j] = run_max - half
                 up[j] = up_total + ((run_max - anchor) - c)
                 down[j] = down_total
             else:
-                approx[j] = run_min + half
+                band[j] = run_min + half
                 up[j] = up_total
                 down[j] = down_total + ((anchor - run_min) - c)
     if phase == UP:
@@ -182,7 +187,8 @@ def _window_scan(values, c, starts=None, skeleton=None, out=None):
         if w == 0:
             seek_band = run_min + half
         for a, fill in zip(out, (seek_band, 0.0, 0.0)):
-            a[:seek_end] = fill
+            if a is not None:
+                a[:seek_end] = fill
     return up_total, down_total, direction, w + 1
 
 
@@ -212,7 +218,7 @@ def _machine(values, c, starts=None, skeleton=None, out=None):
     else:
         values = np.ascontiguousarray(values, np.float64)
         buffers = (None if a is None else a.ctypes.data for a in (starts, skeleton))
-        arrays = (None,) * 3 if out is None else (a.ctypes.data for a in out)
+        arrays = (None if a is None else a.ctypes.data for a in out or (None,) * 3)
         totals = np.empty(3)
         k = lib.window_scan(
             values.ctypes.data, values.shape[0], c, *buffers, *arrays, totals.ctypes.data
@@ -256,3 +262,11 @@ def full_scan(values: np.ndarray, c: float) -> ScanResult:
     out = ScanResult(np.empty(n), np.empty(n), np.empty(n))
     _machine(values, c, out=out)
     return out
+
+
+def rise_fall(values: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(up, down)`` of ``full_scan``, with no array for the band."""
+    n = values.shape[0]
+    up, down = np.empty(n), np.empty(n)
+    _machine(values, c, out=(None, up, down))
+    return up, down

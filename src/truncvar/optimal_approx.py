@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from ._scan import full_scan
+from ._scan import full_scan, rise_fall
 from .path_model import PathError, SampledPath, _frozen, level_value, total_variation
 
 
@@ -64,7 +64,8 @@ def lazy_approximation(path: SampledPath, c) -> ApproximationResult:
     scan = full_scan(path.values, c)
     approx = SampledPath(path.times, _frozen(scan.approx))
     jordan = JordanPair(_frozen(scan.up), _frozen(scan.down))
-    sup_error = float(np.max(np.abs(scan.approx - path.values)))
+    error = np.subtract(scan.approx, path.values)
+    sup_error = float(np.max(np.abs(error, out=error)))
     if not math.isfinite(sup_error):  # within c/2 of the values unless it overflowed
         raise PathError("band-overflow", "the band c/2 around the values overflows float64")
     return ApproximationResult(
@@ -78,14 +79,14 @@ def lazy_approximation(path: SampledPath, c) -> ApproximationResult:
 def jordan_pair(path: SampledPath, c) -> JordanPair:
     """Per-sample minimal rise/fall components of the band approximation."""
     c = level_value(c)
-    scan = full_scan(path.values, c)
-    return JordanPair(_frozen(scan.up), _frozen(scan.down))
+    up, down = rise_fall(path.values, c)
+    return JordanPair(_frozen(up), _frozen(down))
 
 
 def zero_start_approximation(path: SampledPath, c) -> ApproximationResult:
     """Rise minus fall component: the optimal increment tracker from 0."""
     c = level_value(c)
-    up, down = full_scan(path.values, c)[1:]  # the band is not kept alive
+    up, down = rise_fall(path.values, c)
     zero_vals = up - down
     approx = SampledPath(path.times, _frozen(zero_vals))
     jordan = JordanPair(_frozen(up), _frozen(down))

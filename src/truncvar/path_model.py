@@ -89,7 +89,8 @@ def positive_real(value, code: str, what: str) -> float:
 def positive_reals(values, code: str, what: str) -> np.ndarray:
     """``values`` as float64 by :func:`positive_real`, or by dtype for an int or float ndarray."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    x = values.astype(np.float64, copy=False) if kind in "iuf" else None
+    with np.errstate(over="ignore"):  # a longdouble past float64 gives inf, refused below
+        x = values.astype(np.float64, copy=False) if kind in "iuf" else None
     if x is not None and np.isfinite(x).all() and np.all(x > 0):
         return x
     if kind == "O" and np.iterable(values):
@@ -152,7 +153,8 @@ def total_variation(path: SampledPath) -> float:
     """Sum of absolute increments over the samples; PathError ``tv-overflow``
     when the sum passes float64."""
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        return checked_total(float(np.sum(np.abs(np.diff(path.values)))))
+        d = np.diff(path.values)
+        return checked_total(float(np.sum(np.abs(d, out=d))))
 
 
 def osc_norm(path: SampledPath) -> float:

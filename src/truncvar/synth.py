@@ -10,8 +10,8 @@ reproduce byte-identical paths on any platform, and any language with
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -94,6 +94,8 @@ def _check_spec(spec: GeneratorSpec) -> tuple[int, int, float, dict[str, float]]
     if seed < 0:
         raise PathError("bad-generator-spec", "seed must be a nonnegative integer")
     scale = positive_real(spec.scale, "bad-generator-spec", "scale")
+    if not isinstance(spec.extra, Mapping):
+        raise PathError("bad-generator-spec", f"extra must be a mapping, got {spec.extra!r}")
     unknown = set(spec.extra) - set(_EXTRA_KEYS[spec.kind])
     if unknown:
         raise PathError(

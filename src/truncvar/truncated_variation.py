@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._scan import _alternate, _window_scan, checked_total, full_scan, tv_scan
+from ._scan import _alternate, _window_scan, checked_total, rise_fall, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -89,8 +89,8 @@ def oracle_truncated_variation(path: SampledPath, c) -> TruncatedVariations:
 def prefix_curves(path: SampledPath, c):
     """Per-sample running (utv, dtv, tv), each nondecreasing in the index."""
     c = level_value(c)
-    scan = full_scan(path.values, c)
-    return _frozen(scan.up), _frozen(scan.down), _frozen(scan.up + scan.down)
+    up, down = rise_fall(path.values, c)
+    return _frozen(up), _frozen(down), _frozen(up + down)
 
 
 _FOLD_BLOCK = 1 << 16  # gap-by-level terms folded at once

@@ -13,6 +13,7 @@ from truncvar import (
     make_path,
     negate,
     osc_norm,
+    prefix_curves,
     step_skeleton,
     sup_distance,
     total_variation,
@@ -22,6 +23,7 @@ from truncvar import (
 )
 
 from _oracles import (
+    full_scan_loop,
     level_st,
     mixed_corpus,
     monotone_parts,
@@ -274,6 +276,50 @@ def test_achieved_tv_equals_truncated_variation_on_corpus(p1):
             truncated_variation(path, c).tv, abs=1e-12
         )
         assert total_variation(r.approximation) == r.achieved_tv
+
+
+def assert_bits(got, want, name):
+    got = np.asarray(got)
+    assert got.dtype == np.float64 and got.shape == np.shape(want), name
+    assert np.array_equal(got.view(np.int64), np.asarray(want, np.float64).view(np.int64)), name
+
+
+def assert_consumers_exact(path, c):
+    # every output equals, bit for bit, its formula on the reference scan's arrays
+    x = path.values
+    approx, up, down = full_scan_loop(x, c)[:3]
+    zero = up - down
+    residual = zero - x
+    lazy, zs = lazy_approximation(path, c), zero_start_approximation(path, c)
+    jordan, curves = jordan_pair(path, c), prefix_curves(path, c)
+    expected = [
+        (lazy.approximation.values, approx, "lazy approx"),
+        (lazy.jordan.up_component, up, "lazy up"),
+        (lazy.jordan.down_component, down, "lazy down"),
+        (lazy.achieved_tv, float(np.sum(np.abs(np.diff(approx)))), "lazy achieved_tv"),
+        (lazy.sup_error, float(np.max(np.abs(approx - x))), "lazy sup_error"),
+        (zs.approximation.values, zero, "zero-start approx"),
+        (zs.jordan.up_component, up, "zero-start up"),
+        (zs.jordan.down_component, down, "zero-start down"),
+        (zs.achieved_tv, float(np.sum(np.abs(np.diff(zero)))), "zero-start achieved_tv"),
+        (zs.sup_error, float(np.max(residual) - np.min(residual)), "zero-start sup_error"),
+        (jordan.up_component, up, "jordan up"),
+        (jordan.down_component, down, "jordan down"),
+        (curves[0], up, "prefix utv"),
+        (curves[1], down, "prefix dtv"),
+        (curves[2], up + down, "prefix tv"),
+        (total_variation(path), float(np.sum(np.abs(np.diff(x)))), "total_variation"),
+    ]
+    for got, want, name in expected:
+        assert_bits(got, want, name)
+
+
+def test_consumers_match_the_reference_scan_bit_for_bit_on_corpus():
+    for path, c in mixed_corpus(60, seed=2626, max_len=200):
+        assert_consumers_exact(path, c)
+        for step in np.abs(np.diff(path.values))[:3]:  # triggers on equality
+            if step > 0:
+                assert_consumers_exact(path, float(step))
 
 
 def assert_step_skeleton_exact(path, c):

@@ -11,11 +11,12 @@ patterns), the sign of a zero included; those tests are marked
 overflow and time-reversal tests (the last checks the totals-only scan
 without an oracle). The unmarked ``test_routes_agree_*`` tests compare the
 two routes with each other, and
-``test_every_sample_oscillator_fills_the_buffers`` and
+``test_every_sample_oscillator_fills_the_buffers``,
+``test_bandless_scan_fills_up_and_down_alone`` and
 ``test_skeleton_may_overwrite_its_input`` check the buffer contract the two
-machines share: bounds, null outputs, per-sample arrays and a skeleton
-written over its own input, on the ctypes ``window_scan`` (through
-``_machine``) and on ``_window_scan``. Skeletons come from
+machines share: bounds, null outputs, per-sample arrays (the band left out
+on its own included) and a skeleton written over its own input, on the
+ctypes ``window_scan`` (through ``_machine``) and on ``_window_scan``. Skeletons come from
 ``_oracles.skeleton_scan``, so the tests read the native one where the
 library loads.
 """
@@ -331,6 +332,33 @@ def test_every_sample_oscillator_fills_the_buffers(machine):
         assert_same_bits(again, skeleton if with_skeleton else np.full(n + 1, -7.0))
         for name, got, want in zip(ScanResult._fields, others, arrays):
             assert_same_bits(got, want, name)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [
+        pytest.param(_machine, marks=needs_lib, id="native"),
+        pytest.param(_window_scan, id="python"),
+    ],
+)
+def test_bandless_scan_fills_up_and_down_alone(machine):
+    # out=(None, up, down): the band is not written, and up and down, the
+    # totals and the window count are those of the three-array call; the
+    # oscillator triggers at every sample, the corpus paths at few or none
+    cases = [(np.array([0.0, 1.0] * 500), 1.0)]
+    cases += [(path.values, c) for path, c in mixed_corpus(40, seed=2424, max_len=200)]
+    for x, c in cases:
+        n = x.size
+        arrays = [np.full(n + 1, -7.0) for _ in ScanResult._fields]
+        *totals, k = machine(x, c, None, None, arrays)
+        up, down = np.full(n + 1, -7.0), np.full(n + 1, -7.0)
+        *totals_bandless, k_bandless = machine(x, c, None, None, (None, up, down))
+        assert k_bandless == k
+        assert_same_bits(totals_bandless, totals)
+        ref = full_scan_loop(x, c)
+        for name, got, want in (("up", up, ref[1]), ("down", down, ref[2])):
+            assert_same_bits(got[:n], want, name)
+            assert got[n] == -7.0, name
 
 
 @pytest.mark.parametrize(

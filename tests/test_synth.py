@@ -105,6 +105,10 @@ def test_bad_spec_rejected():
         GeneratorSpec("jump-mixture", 5, extra={"jump_prob": "0.5"}),
         GeneratorSpec("near-threshold-oscillator", 5, extra={"target_level": None}),
         GeneratorSpec("near-threshold-oscillator", 5, extra={"amplitude_ratio": 10**400}),
+        # extra is a mapping of knobs
+        GeneratorSpec("ramp", 3, extra=None),
+        GeneratorSpec("ramp", 3, extra=5),
+        GeneratorSpec("jump-mixture", 3, extra=["jump_prob"]),
     ):
         with pytest.raises(PathError) as err:
             generate(spec)

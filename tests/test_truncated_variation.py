@@ -161,6 +161,7 @@ class TestSweep:
             [True], ["0.5"], [10**400], [0.5, 10**400], [[0.5], [1.0, 2.0]],
             [0.5, True], [True, 2], [0.5, np.True_], [np.array(0.5), 1.0],
             np.array([np.timedelta64(1)]), np.array([True]),
+            np.array([np.longdouble("1e400")]),  # past float64: refused without a warning
         ):
             with pytest.raises(PathError) as err:
                 sweep(p1, bad)
