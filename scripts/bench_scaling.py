@@ -3,10 +3,11 @@
 
 Times three queries across path sizes on each route (``native`` when the
 library builds, and ``python``): ``truncated_variation``, the totals-only
-scan; ``prefix_curves``, which runs ``full_scan`` and so writes the
-per-sample arrays; and ``sweep`` over the 32 levels ``osc_norm * k / 32``
-of perfbench's ``level_curve``, the skeleton ladder, which runs the Python
-machine on both routes until ROADMAP items 1 and 2 land. It times every
+scan; ``prefix_curves``, which runs the band-less ``rise_fall`` scan and
+so writes the per-sample rise/fall arrays but no band; and ``sweep`` over
+the 32 levels ``osc_norm * k / 32`` of perfbench's ``level_curve``, the
+skeleton ladder, which runs the Python machine on both routes until
+ROADMAP items 1 and 2 land. It times every
 size once per round, in CPU time per call, over several rounds, so a slow
 phase of a shared machine slows the sizes of a round alike. It prints a
 table of the median over the rounds, whose ``route`` column names the

@@ -36,20 +36,6 @@ the same order. A skeleton has at most n values and is itself a path, so
 the skeleton of a skeleton at a still higher level is again exact for the
 samples.
 
-A skeleton needs no scan at all at a level no larger than its smallest gap.
-Its values alternate strictly (each window's extreme lies on the far side
-of the trigger that opened it), and every gap ``|s[k+1] - s[k]|`` is at
-least c: the trigger value is at least c from the anchor, the window's
-extreme is no nearer, and rounded subtraction is monotone. At any level
-``c'`` with ``c <= c' <= min gap`` the scan of the skeleton therefore
-triggers at every value (each test is an exact ``>=`` on that same rounded
-gap), anchors each regime at the previous value and closes it at the next,
-so ``up`` is the left-to-right sum of ``(s[k+1] - s[k]) - c'`` over the
-rises and ``down`` that of ``(s[k] - s[k+1]) - c'`` over the falls, the
-same operations on the same operands as the scan; negating a difference is
-exact, so the falls are ``|s[k+1] - s[k]|`` too. A skeleton of one value
-gives 0.0. ``truncated_variation.sweep`` prices levels this way.
-
 The Python kernel works on the samples as Python floats, and the native
 one on C doubles; on both a sum past float64 gives ``inf`` without a
 warning. Every kernel call checks its totals once: if ``up + down``

@@ -112,8 +112,12 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
     every increment and truncated variation would read ``inf``).
     """
     try:
-        t = np.array(times, dtype=np.float64)
-        v = np.array(values, dtype=np.float64)
+        t, v = np.asarray(times), np.asarray(values)
+        if t.dtype.kind in "US" or v.dtype.kind in "US":  # numpy would parse "1" as 1.0
+            raise TypeError
+        # a copy, so that the frozen arrays share no memory with the caller's
+        t = np.array(t, dtype=np.float64)
+        v = np.array(v, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # "a", a ragged list, an int past float64
         raise PathError("non-finite", "times and values must be real numbers") from None
     if t.ndim != 1 or v.ndim != 1:
@@ -193,10 +197,11 @@ def negate(path: SampledPath) -> SampledPath:
 
 
 def _finite(x, what: str) -> float:
-    """``float(x)`` if it exists and is finite, else PathError ``non-finite``."""
+    """``float(x)`` if ``x`` is a number and that is finite, else PathError
+    ``non-finite``; a string is no number, though ``float`` parses ``"1"``."""
     try:
-        a = float(x)
-    except (TypeError, ValueError, OverflowError):  # None, "a", an int past float64
+        a = math.nan if isinstance(x, (str, bytes, bytearray)) else float(x)
+    except (TypeError, ValueError, OverflowError):  # None, an int past float64
         a = math.nan
     if not math.isfinite(a):
         raise PathError("non-finite", f"{what} must be a finite number, got {x!r}")

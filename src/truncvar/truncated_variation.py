@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._scan import _alternate, _window_scan, checked_total, rise_fall, tv_scan
+from ._scan import _window_scan, checked_total, rise_fall, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
@@ -93,64 +93,30 @@ def prefix_curves(path: SampledPath, c):
     return _frozen(up), _frozen(down), _frozen(up + down)
 
 
-_FOLD_BLOCK = 1 << 16  # gap-by-level terms folded at once
-
-
-def _fold(gaps: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Per level c, the left-to-right sum of ``gap - c`` over ``gaps``.
-
-    ``np.add.accumulate`` adds strictly in order from the first term on, as
-    the scan adds each term to a total that starts at 0.0.
-    """
-    out = np.zeros(levels.shape[0])
-    if gaps.size:
-        step = max(1, _FOLD_BLOCK // gaps.size)
-        for s in range(0, levels.shape[0], step):
-            terms = gaps[:, None] - levels[None, s : s + step]
-            out[s : s + step] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return out
-
-
 def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     """Evaluate the total truncated variation on an increasing level grid.
 
     The levels run up a ladder of skeletons (see ``_scan``) in one copy of
-    the samples. A level above the smallest gap of the current skeleton is
-    scanned on it, and the scan writes the skeleton it emits, which holds
-    the extremes all higher levels can still see, over its own input as the
-    current one; the first level is scanned on the samples. A level no
-    larger than the smallest gap is priced in closed form from the gaps:
-    the fold of ``gap - c`` over the rises plus the fold over the falls.
-    Either way the same comparisons and the same additions run on the same
-    values as in a scan of the whole path, so every ``tv_values[i]`` equals
-    ``truncated_variation(path, levels[i]).tv`` bit for bit, at a cost near
-    one scan of the path for the whole grid. A closed form adds, in the same
-    order, terms no larger than those of the scan that emitted its
-    skeleton, so it is finite when that scan's checked total is. Each level
-    follows the rule of :class:`Level` (PathError ``bad-level-grid``).
+    the samples. The first level is scanned on the samples, and each later
+    one on the skeleton the level below emitted; each scan writes the
+    skeleton it emits, which holds the extremes all higher levels can still
+    see, over its own input. The same comparisons and the same additions
+    run on the same values as in a scan of the whole path, so every
+    ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
+    for bit. Each level follows the rule of :class:`Level` (PathError
+    ``bad-level-grid``).
     """
     grid = positive_reals(levels, "bad-level-grid", "level")
     if grid.ndim != 1 or grid.size == 0 or not np.all(grid[1:] > grid[:-1]):
         raise PathError("bad-level-grid", "levels must be a nonempty, strictly increasing 1-d grid")
     tv_values = np.empty(grid.size)
     work = path.values.copy()
-    m, min_gap = work.size, -np.inf
-    i = 0
-    while i < grid.size:
-        c = float(grid[i])
-        if c <= min_gap:
-            j = int(np.searchsorted(grid, min_gap, side="right"))
-            rises, falls = _alternate(gaps, direction)
-            tv_values[i:j] = _fold(rises, grid[i:j]) + _fold(falls, grid[i:j])
-            i = j
-        else:
-            # the Python machine until perfbench's per-call bookkeeping stops
-            # growing with the call count (ROADMAP items 1 and 2)
-            up, down, direction, m = _window_scan(work[:m], c, skeleton=work)
-            tv_values[i] = checked_total(up + down)
-            gaps = np.abs(np.diff(work[:m]))
-            min_gap = float(gaps.min()) if gaps.size else np.inf
-            i += 1
+    m = work.size
+    for i, c in enumerate(grid.tolist()):
+        # the Python machine until perfbench's per-call bookkeeping stops
+        # growing with the call count (ROADMAP items 1 and 2)
+        up, down, _, m = _window_scan(work[:m], c, skeleton=work)
+        tv_values[i] = checked_total(up + down)
     return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
 
 

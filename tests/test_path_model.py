@@ -61,7 +61,10 @@ class TestMakePath:
             make_path(times, values)
         assert err.value.code == "length-mismatch"
 
-    @pytest.mark.parametrize("values", [["a", "2"], [[1], [2, 3]], [10**400, 1]])
+    @pytest.mark.parametrize(
+        "values",
+        [["a", "2"], [[1], [2, 3]], [10**400, 1], ["1", "2"], [b"1", b"2"], np.array(["1", "2"])],
+    )
     def test_values_that_are_no_numbers_are_non_finite(self, values):
         with pytest.raises(PathError) as err:
             make_path([0, 1], values)
@@ -130,7 +133,17 @@ class TestAlgebra:
             add_constant(p, 2.161068974061451e306)
         assert err.value.code == "value-span-overflow"
 
-    @pytest.mark.parametrize("alpha", [pytest.param(10**400, id="10**400"), "a", None])
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            pytest.param(10**400, id="10**400"),
+            "a",
+            None,
+            pytest.param("1", id="str-1"),
+            pytest.param(b"1", id="bytes-1"),
+            pytest.param(np.str_("1"), id="np.str_-1"),
+        ],
+    )
     def test_add_constant_rejects_a_shift_that_is_no_finite_number(self, p3, alpha):
         with pytest.raises(PathError) as err:
             add_constant(p3, alpha)
@@ -144,7 +157,16 @@ class TestAlgebra:
         assert h.values.tolist() == [1.0, 3.0, 3.0]
 
     @pytest.mark.parametrize(
-        "weights", [("a", 1), (float("inf"), 1), (1, float("nan")), (10**400, 1), (1e308, 1e308)]
+        "weights",
+        [
+            ("a", 1),
+            (float("inf"), 1),
+            (1, float("nan")),
+            (10**400, 1),
+            (1e308, 1e308),
+            ("0.5", 1),  # finite sums on this path, so only the string is at fault
+            (1, b"0.5"),
+        ],
     )
     def test_combine_rejects_bad_weights_without_warnings(self, weights):
         f = make_path([0, 1], [1e308, 0.0])

@@ -507,8 +507,16 @@ def test_l1_upper_bound_budget_far_above_oscillation():
 
 def test_sweep_reuses_a_skeleton_that_stopped_shrinking():
     # dense runs of close levels leave the skeleton almost unchanged, so the
-    # ladder scans several levels on one skeleton before emitting the next
-    for path, c in mixed_corpus(20, seed=77, min_len=50, max_len=400):
+    # ladder scans several levels on skeletons of nearly the same length; on
+    # the oscillator every sample triggers below its swing of 1.001, so the
+    # skeleton never shrinks there
+    oscillator = generate(
+        GeneratorSpec(
+            "near-threshold-oscillator", 2000,
+            extra={"target_level": 1.0, "amplitude_ratio": 1.001},
+        )
+    )
+    for path, c in mixed_corpus(20, seed=77, min_len=50, max_len=400) + [(oscillator, 1.0)]:
         osc = osc_norm(path)
         if osc == 0:
             continue
@@ -536,7 +544,8 @@ def assert_sweep_exact(x, levels):
 
 def skeleton_gap_levels(x, levels):
     """Each level, and the smallest gap of the skeleton a scan at it emits,
-    with the gap's neighbours 1 ulp away: the ends of a closed-form run."""
+    with the gap's neighbours 1 ulp away: levels at which the next scan of
+    that skeleton triggers at every value, or just fails to."""
     out = list(levels)
     for c in levels:
         gaps = np.abs(np.diff(skeleton_scan(np.array(x, dtype=float), c)[3]))
@@ -576,39 +585,27 @@ def test_ladder_edge_cases(vals, batches):
 
 
 def count_scans(monkeypatch):
-    """The level of every scan ``sweep`` runs, in order."""
+    """``(level, number of values)`` of every scan ``sweep`` runs, in order."""
     scans = []
     scan = tv_module._window_scan
     monkeypatch.setattr(
-        tv_module, "_window_scan", lambda *a, **kw: scans.append(a[1]) or scan(*a, **kw)
+        tv_module,
+        "_window_scan",
+        lambda *a, **kw: scans.append((a[1], len(a[0]))) or scan(*a, **kw),
     )
     return scans
 
 
-def test_ladder_prices_levels_up_to_the_smallest_gap_without_scanning(monkeypatch):
-    scans = count_scans(monkeypatch)
-    x = [0.0, 3.0, 1.0, 4.0, 0.5]  # gaps 3, 2, 3, 3.5 at any level <= 1
-    assert_sweep_exact(x, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    # 1.0 to 2.0 fold the level-0.5 skeleton's gaps, 3.0 the level-2.5
-    # skeleton's [0, 4, 0.5]
-    assert scans == [0.5, 2.5]
-
-
-def test_ladder_stays_exact_when_it_drops_skeletons(monkeypatch):
+def test_ladder_scans_each_level_on_the_skeleton_below(monkeypatch):
     scans = count_scans(monkeypatch)
     for path, c in mixed_corpus(20, seed=808, min_len=20, max_len=200):
         grid = np.unique(skeleton_gap_levels(path.values, list(c * np.linspace(0.05, 1.2, 9))))
         scans.clear()
         assert_sweep_exact(path.values, grid)
-        # a level is scanned iff it lies above the smallest gap of the
-        # skeleton the previous scan emitted
-        want, min_gap = [], -np.inf
-        for g in grid.tolist():
-            if g > min_gap:
-                want.append(g)
-                gaps = np.abs(np.diff(skeleton_scan(path.values, g)[3]))
-                min_gap = float(gaps.min()) if gaps.size else np.inf
-        assert scans == want
+        # one scan per level, in order: the first on the samples, each later
+        # one on the k values of the skeleton the level below emitted
+        sizes = [len(skeleton_scan(path.values, g)[3]) for g in grid.tolist()]
+        assert scans == list(zip(grid.tolist(), [path.values.size] + sizes[:-1]))
 
 
 @pytest.mark.both_routes
