@@ -61,9 +61,8 @@ class SampledPath:
 class Level:
     """Strictly positive, finite threshold in the same units as path values.
 
-    The rule of every level, level grid and generator parameter: an int, a
-    float, or a numpy integer or float (no bool or ``np.timedelta64``) whose
-    float64 value is finite and > 0; see :func:`positive_real`.
+    Every number a path is built from follows :func:`real_number`; every
+    level, level grid and generator parameter also > 0 (:func:`positive_real`).
     """
 
     c: float
@@ -72,30 +71,50 @@ class Level:
         positive_real(self.c, "bad-level", "level")
 
 
-def positive_real(value, code: str, what: str) -> float:
-    """``float(value)`` if it follows the rule of :class:`Level`, else PathError ``code``."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
-    if not real or isinstance(value, (bool, np.timedelta64)):
-        raise PathError(code, f"{what} must be a real number, got {value!r}")
+def real_number(value, code: str, what: str) -> float:
+    """``float(value)`` for an int, a float, or a numpy integer or float (no
+    bool or ``np.timedelta64``) finite in float64, else PathError ``code``."""
     try:
-        x = float(value)
-    except OverflowError:  # an int past float64
-        x = math.inf
-    if not (math.isfinite(x) and x > 0):
-        raise PathError(code, f"{what} must be finite and > 0, got {value!r}")
+        x = float(value) if isinstance(value, (int, float, np.integer, np.floating)) else math.nan
+    except (OverflowError, TypeError):  # an int past float64, a NaT timedelta
+        x = math.nan
+    if isinstance(value, (bool, np.timedelta64)) or not math.isfinite(x):
+        raise PathError(code, f"{what} must be a finite real number, got {value!r}")
+    return x
+
+
+def real_numbers(values, code: str, what: str) -> np.ndarray:
+    """A new float64 array of ``values``, else PathError ``code``: an int or float ndarray
+    by dtype; a list, tuple, object ndarray or number by :func:`real_number`, nesting kept."""
+    try:
+        listed = isinstance(values, (list, tuple, int, float, np.number))
+        a = np.array(values, dtype=object) if listed else values
+    except ValueError:  # nested arrays of unequal shapes
+        a = None
+    kind = a.dtype.kind if isinstance(a, np.ndarray) else None
+    if kind == "O":
+        return np.array([real_number(v, code, what) for v in a.flat]).reshape(a.shape)
+    with np.errstate(over="ignore"):  # a longdouble past float64 gives inf, refused below
+        x = a.astype(np.float64) if kind in ("i", "u", "f") else np.array(math.nan)
+    if not np.isfinite(x).all():  # or no other dtype or container: str, bytes, set, dict, ...
+        raise PathError(code, f"every {what} must be a finite real number")
+    return x
+
+
+def positive_real(value, code: str, what: str) -> float:
+    """:func:`real_number` that is > 0, else PathError ``code``."""
+    x = real_number(value, code, what)
+    if not x > 0:
+        raise PathError(code, f"{what} must be > 0, got {value!r}")
     return x
 
 
 def positive_reals(values, code: str, what: str) -> np.ndarray:
-    """``values`` as float64 by :func:`positive_real`, or by dtype for an int or float ndarray."""
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    with np.errstate(over="ignore"):  # a longdouble past float64 gives inf, refused below
-        x = values.astype(np.float64, copy=False) if kind in "iuf" else None
-    if x is not None and np.isfinite(x).all() and np.all(x > 0):
-        return x
-    if kind == "O" and np.iterable(values):
-        return np.array([positive_real(v, code, what) for v in values])
-    raise PathError(code, f"every {what} must be a real number, finite and > 0")
+    """:func:`real_numbers` that are all > 0, else PathError ``code``."""
+    x = real_numbers(values, code, what)
+    if not np.all(x > 0):
+        raise PathError(code, f"every {what} must be > 0")
+    return x
 
 
 def level_value(c) -> float:
@@ -106,20 +125,13 @@ def level_value(c) -> float:
 def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
     """Validate raw samples and build a :class:`SampledPath`.
 
-    Raises :class:`PathError` with code ``empty-path`` (no samples),
-    ``length-mismatch``, ``non-finite``, ``times-not-increasing``, or
-    ``value-span-overflow`` (finite values whose ``max - min`` overflows:
-    every increment and truncated variation would read ``inf``).
+    Times and values are copied by :func:`real_numbers` (PathError ``non-finite``).
+    Raises ``empty-path`` (no samples), ``length-mismatch``, ``times-not-increasing``
+    or ``value-span-overflow`` (finite values whose ``max - min`` overflows: every
+    increment and truncated variation would read ``inf``).
     """
-    try:
-        t, v = np.asarray(times), np.asarray(values)
-        if t.dtype.kind in "US" or v.dtype.kind in "US":  # numpy would parse "1" as 1.0
-            raise TypeError
-        # a copy, so that the frozen arrays share no memory with the caller's
-        t = np.array(t, dtype=np.float64)
-        v = np.array(v, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # "a", a ragged list, an int past float64
-        raise PathError("non-finite", "times and values must be real numbers") from None
+    t = real_numbers(times, "non-finite", "time")
+    v = real_numbers(values, "non-finite", "value")
     if t.ndim != 1 or v.ndim != 1:
         raise PathError("length-mismatch", "times and values must be one-dimensional")
     if t.size == 0 and v.size == 0:
@@ -128,8 +140,6 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
         raise PathError(
             "length-mismatch", f"times has {t.size} entries, values has {v.size}"
         )
-    if not (np.isfinite(t).all() and np.isfinite(v).all()):
-        raise PathError("non-finite", "times and values must all be finite")
     if t.size > 1 and not np.all(t[1:] > t[:-1]):
         raise PathError("times-not-increasing", "times must be strictly increasing")
     if not np.isfinite(float(np.max(v)) - float(np.min(v))):
@@ -138,7 +148,9 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
 
 
 def evaluate(path: SampledPath, t: float) -> float:
-    """Value of the step function at time ``t`` (right-continuous semantics)."""
+    """Value of the step function at time ``t`` (right-continuous semantics);
+    ``t`` is a :func:`real_number` in the domain, else PathError ``outside-domain``."""
+    t = real_number(t, "outside-domain", "t")
     lo, hi = path.domain
     if not (lo <= t <= hi):
         raise PathError("outside-domain", f"t={t!r} outside domain [{lo}, {hi}]")
@@ -196,21 +208,9 @@ def negate(path: SampledPath) -> SampledPath:
     return SampledPath(path.times, _frozen(-path.values))
 
 
-def _finite(x, what: str) -> float:
-    """``float(x)`` if ``x`` is a number and that is finite, else PathError
-    ``non-finite``; a string is no number, though ``float`` parses ``"1"``."""
-    try:
-        a = math.nan if isinstance(x, (str, bytes, bytearray)) else float(x)
-    except (TypeError, ValueError, OverflowError):  # None, an int past float64
-        a = math.nan
-    if not math.isfinite(a):
-        raise PathError("non-finite", f"{what} must be a finite number, got {x!r}")
-    return a
-
-
 def add_constant(path: SampledPath, alpha: float) -> SampledPath:
     """Shift all values by ``alpha`` on the same time grid, checked by :func:`make_path`."""
-    a = _finite(alpha, "shift")
+    a = real_number(alpha, "non-finite", "shift")
     with np.errstate(over="ignore"):  # an overflowed value raises non-finite
         return make_path(path.times, path.values + a)
 
@@ -221,10 +221,15 @@ def combine(
     """Weighted pointwise sum ``weights[0]*f + weights[1]*g`` on the union grid.
 
     Both operands are resampled on the union of their breakpoints first, so
-    the result is exact under step semantics. Requires identical domains.
+    the result is exact under step semantics. Needs identical domains and two
+    weights (PathError ``length-mismatch``), each a :func:`real_number`.
     """
     _require_same_domain(f, g)
-    wf, wg = _finite(weights[0], "weight"), _finite(weights[1], "weight")
+    w = real_numbers(weights, "non-finite", "weight")
+    if w.ndim != 1:
+        raise PathError("non-finite", "each weight must be a real number")
+    if w.size != 2:
+        raise PathError("length-mismatch", f"need two weights, got {w.size}")
     t, fv, gv = _on_union_grid(f, g)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises non-finite
-        return make_path(t, wf * fv + wg * gv)
+        return make_path(t, w[0] * fv + w[1] * gv)

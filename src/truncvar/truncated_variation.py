@@ -117,7 +117,7 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
         # growing with the call count (ROADMAP items 1 and 2)
         up, down, _, m = _window_scan(work[:m], c, skeleton=work)
         tv_values[i] = checked_total(up + down)
-    return SweepCurve(levels=_frozen(grid.copy()), tv_values=_frozen(tv_values))
+    return SweepCurve(levels=_frozen(grid), tv_values=_frozen(tv_values))
 
 
 def _persistence(values: np.ndarray) -> np.ndarray:

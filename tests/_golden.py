@@ -101,7 +101,8 @@ def _bench_paths():
 
 def _cases():
     """``(path, levels, sweep grid)`` triples."""
-    out = [(p, (c, c / 8), c * np.arange(1, 9) / 4) for p, c in mixed_corpus(400, seed=2612, max_len=200)]
+    corpus = mixed_corpus(400, seed=2612, max_len=200)
+    out = [(p, (c, c / 8), c * np.arange(1, 9) / 4) for p, c in corpus]
     jumps, walk, oscillator = _bench_paths()
     for path in (jumps, walk):
         out.append((path, (1.0, 0.25), osc_norm(path) * np.arange(1, 33) / 32))
@@ -131,7 +132,8 @@ def _cli_runs(tmp: Path):
         (["decompose", src, "-c", "0.5", "--out-up", out[0], "--out-down", out[1]], out),
         (["sweep", src, "--levels", "0.25:4:0.25", "--out", out[0]], out[:1]),
         (["skeleton", src, "-c", "0.5", "--out", out[0]], out[:1]),
-        (["gen", "--kind", "jump-mixture", "--length", "500", "--seed", "3", "--out", out[0]], out[:1]),
+        (["gen", "--kind", "jump-mixture", "--length", "500", "--seed", "3", "--out", out[0]],
+         out[:1]),
     ]
 
 
@@ -171,7 +173,8 @@ def digests() -> dict[str, str]:
             pair = jordan_pair(path, c)
             _feed(h["jordan_pair"], pair.up_component, pair.down_component)
             d = detect_regimes(path, c)
-            first = [-1 if i is None else i for i in (first_up_time(path, c), first_down_time(path, c))]
+            first = [first_up_time(path, c), first_down_time(path, c)]
+            first = [-1 if i is None else i for i in first]
             _feed(h["regimes"], d.first_direction, d.up_times, d.down_times, d.lows, d.highs,
                   d.n, d.c, first)
             pairs = running_extremes(path, d)

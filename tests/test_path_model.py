@@ -176,6 +176,21 @@ class TestAlgebra:
                 combine(f, f, weights)
         assert err.value.code == "non-finite"
 
+    @pytest.mark.parametrize(
+        "weights, code",
+        [
+            ((1, 2, 3), "length-mismatch"),  # the third weight is not dropped
+            (np.ones(3), "length-mismatch"),
+            ([1], "length-mismatch"),
+            ((), "length-mismatch"),
+            ([[1.0], [2.0]], "non-finite"),  # two weights, each no number
+        ],
+    )
+    def test_combine_takes_exactly_two_weights(self, p3, weights, code):
+        with pytest.raises(PathError) as err:
+            combine(p3, p3, weights)
+        assert err.value.code == code
+
     def test_combine_domain_mismatch(self, p1, p3):
         with pytest.raises(PathError):
             combine(p1, p3)
@@ -286,3 +301,70 @@ def test_one_positive_real_rule(p1, x, accepted):
             assert err.value.code == code
     if accepted:
         assert sweep(p1, [x]).tv_values.tolist() == [truncated_variation(p1, x).tv]
+
+
+# the rule of every number a path is built from: a time, a value, a shift, a
+# weight or the t of evaluate, alone or in a list, a tuple or an int or float array
+_REALS = [0.5, -2, 0, -0.0, np.float32(0.5), np.longdouble(0.5), np.int64(-2), np.uint8(1), 10**20]
+_NOT_REALS = [
+    True, np.True_, "0.5", b"1", None, 0.5 + 0j, Fraction(1, 2), Decimal("0.5"), np.array(0.5),
+    np.array([0.5]), np.timedelta64(1), np.datetime64(1, "s"), float("nan"), float("inf"),
+    10**400, np.array("1"), np.array(b"1"), memoryview(b"1"), np.str_("1"),
+]
+_REAL_LISTS = [
+    [0.5, 2], (0.5, 2), np.array([0.5, 2]), np.array([1, 2], np.uint8),
+    np.array([0.5, 2], np.float32), np.array([0.5, 2], dtype=object),
+]
+_NOT_REAL_LISTS = [
+    np.array(["1", "2"], dtype=object), np.array(["1", "2"]), [True, 2], np.array([True, False]),
+    np.array([1 + 0j, 2]), [Fraction(1, 2), 2], [Decimal("0.5"), 2], [np.array(0.5), 2],
+    np.array([1, 2], dtype="m8[s]"), np.array([1, 2], dtype="M8[s]"), b"\x01\x02",
+    bytearray(b"\x01\x02"), memoryview(b"\x01\x02"), {0.5, 2.0}, {0: 0.5, 1: 2.0}, "12",
+    range(1, 3),
+]
+
+
+def _rule_id(v):
+    if isinstance(v, np.ndarray):
+        return f"array({v.tolist()!r}, {v.dtype.str})"
+    if isinstance(v, memoryview):
+        return f"memoryview({v.tobytes()!r})"
+    return _case_id(v)
+
+
+@pytest.mark.parametrize(
+    "x, accepted, listed",
+    [(x, True, False) for x in _REALS] + [(x, False, False) for x in _NOT_REALS]
+    + [(x, True, True) for x in _REAL_LISTS] + [(x, False, True) for x in _NOT_REAL_LISTS],
+    ids=_rule_id,
+)
+def test_one_real_number_rule(x, accepted, listed):
+    wide = make_path([-1e300, 1e300], [1.0, 2.0])
+    if listed:  # taken as its floats, else refused; never taken as one number
+        reference = [float(v) for v in x] if accepted else None
+        calls = [
+            (lambda v: make_path(v, [0.0, 1.0]).times.tolist(), "non-finite"),
+            (lambda v: make_path([0, 1], v).values.tolist(), "non-finite"),
+            (lambda v: combine(wide, wide, v).values.tolist(), "non-finite"),
+        ]
+        never = [(lambda v: add_constant(wide, v), "non-finite"),
+                 (lambda v: evaluate(wide, v), "outside-domain")]
+    else:  # as float(x), else refused
+        reference = float(x) if accepted else None
+        # a sequence in the list of samples is one more dimension
+        entry = "length-mismatch" if np.ndim(x) else "non-finite"
+        calls = [
+            (lambda v: make_path([v], [0.0]).times.tolist(), entry),
+            (lambda v: make_path([0.0], [v]).values.tolist(), entry),
+            (lambda v: add_constant(wide, v).values.tolist(), "non-finite"),
+            (lambda v: combine(wide, wide, (v, 0)).values.tolist(), "non-finite"),
+            (lambda v: combine(wide, wide, (0, v)).values.tolist(), "non-finite"),
+            (lambda v: evaluate(wide, v), "outside-domain"),
+        ]
+        never = []
+    for call, code in never if accepted else calls + never:
+        with pytest.raises(PathError) as err:
+            call(x)
+        assert err.value.code == code
+    if accepted:
+        assert [call(x) for call, _ in calls] == [call(reference) for call, _ in calls]

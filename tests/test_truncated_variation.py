@@ -162,6 +162,7 @@ class TestSweep:
             [0.5, True], [True, 2], [0.5, np.True_], [np.array(0.5), 1.0],
             np.array([np.timedelta64(1)]), np.array([True]),
             np.array([np.longdouble("1e400")]),  # past float64: refused without a warning
+            b"\x01\x02", bytearray(b"\x01\x02"), memoryview(b"\x01\x02"),  # no list of 1, 2
         ):
             with pytest.raises(PathError) as err:
                 sweep(p1, bad)
