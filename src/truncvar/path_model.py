@@ -87,8 +87,8 @@ def real_numbers(values, code: str, what: str) -> np.ndarray:
     """A new float64 array of ``values``, else PathError ``code``: an int or float ndarray
     by dtype; a list, tuple, object ndarray or number by :func:`real_number`, nesting kept."""
     try:
-        listed = isinstance(values, (list, tuple, int, float, np.number))
-        a = np.array(values, dtype=object) if listed else values
+        by_entry = isinstance(values, (list, tuple, int, float, np.number))
+        a = np.array(values, dtype=object) if by_entry else values
     except ValueError:  # nested arrays of unequal shapes
         a = None
     kind = a.dtype.kind if isinstance(a, np.ndarray) else None
@@ -96,7 +96,7 @@ def real_numbers(values, code: str, what: str) -> np.ndarray:
         return np.array([real_number(v, code, what) for v in a.flat]).reshape(a.shape)
     with np.errstate(over="ignore"):  # a longdouble past float64 gives inf, refused below
         x = a.astype(np.float64) if kind in ("i", "u", "f") else np.array(math.nan)
-    if not np.isfinite(x).all():  # or no other dtype or container: str, bytes, set, dict, ...
+    if not np.isfinite(x).all():  # nan stands for any other dtype or container: str, set, ...
         raise PathError(code, f"every {what} must be a finite real number")
     return x
 
