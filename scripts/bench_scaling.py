@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Scaling experiment for the one-pass scan, or for the CSV layer.
 
-Times three queries across path sizes on each route (``native`` when the
+Times four queries across path sizes on each route (``native`` when the
 library builds, and ``python``): ``truncated_variation``, the totals-only
 scan; ``prefix_curves``, which runs the band-less ``rise_fall`` scan and
-so writes the per-sample rise/fall arrays but no band; and ``sweep`` over
+so writes the per-sample rise/fall arrays but no band; ``sweep`` over
 the 32 levels ``osc_norm * k / 32`` of perfbench's ``level_curve``, the
 skeleton ladder, which runs the Python machine on both routes until
-ROADMAP items 1 and 2 land. It times every
-size once per round, in CPU time per call, over several rounds, so a slow
-phase of a shared machine slows the sizes of a round alike. It prints a
-table of the median over the rounds, whose ``route`` column names the
-route that ran, with the minor page faults per call (the process's
-``ru_minflt`` count over a cell's calls, divided by the calls: a fresh
-array that the allocator maps anew faults on first write), and the log-log
-fit exponent of each query on each route (1.0 means linear): the median of
-the rounds' exponents. It also compares
-the fast scan on each route against the quadratic oracle at a desk-scale
-size as a sanity check.
+ROADMAP items 1 and 2 land; and ``l1_upper_bound`` at the level on two
+components of n samples each, a random walk and a jump-mixture (the shape
+of ``level_curve``'s split), whose rainflow pass ``_persistence`` runs
+natively on the native route; its rate counts the 2n samples of both
+components. It times every size once per round, in CPU time per call,
+over several rounds, so a slow phase of a shared machine slows the sizes
+of a round alike. It prints a table of the median over the rounds, whose
+``route`` column names the route that ran, with the minor page faults per
+call (the process's ``ru_minflt`` count over a cell's calls, divided by
+the calls: a fresh array that the allocator maps anew faults on first
+write), and the log-log fit exponent of each query on each route (1.0
+means linear): the median of the rounds' exponents. It also compares the
+fast scan on each route against the quadratic oracle at a desk-scale size
+as a sanity check.
 
 With ``--io`` it times the CSV layer instead, in the same rounds and CPU
 time (the kernel's time in ``read`` and ``write`` counts, the disk's does
@@ -43,6 +46,7 @@ import numpy as np
 from truncvar import (
     GeneratorSpec,
     generate,
+    l1_upper_bound,
     oracle_truncated_variation,
     osc_norm,
     prefix_curves,
@@ -146,27 +150,35 @@ def main():
         return
 
     libraries = routes()
-    check = generate(GeneratorSpec("random-walk", 2000, seed=args.seed))
-    ref = oracle_truncated_variation(check, args.level)
+
+    def pair(n):
+        """The random walk every query takes, and the jump-mixture l1_upper_bound adds."""
+        return tuple(generate(GeneratorSpec(kind, n, seed=args.seed))
+                     for kind in ("random-walk", "jump-mixture"))
+
+    check = pair(2000)
+    ref = oracle_truncated_variation(check[0], args.level)
     queries = {
-        "truncated_variation": lambda path: partial(truncated_variation, path, args.level),
-        "prefix_curves": lambda path: partial(prefix_curves, path, args.level),
-        "sweep": lambda path: partial(
+        "truncated_variation": lambda path, _: partial(truncated_variation, path, args.level),
+        "prefix_curves": lambda path, _: partial(prefix_curves, path, args.level),
+        "sweep": lambda path, _: partial(
             sweep, path, osc_norm(path) * np.arange(1, LADDER_LEVELS + 1) / LADDER_LEVELS
         ),
+        "l1_upper_bound": lambda path, jumps: partial(l1_upper_bound, [path, jumps], args.level),
     }
     for library in libraries:
         with mock.patch.object(_native, "library", library):
-            fast = truncated_variation(check, args.level)
+            fast = truncated_variation(check[0], args.level)
             for query in queries.values():  # warms up every query
-                query(check)()
+                query(*check)()
             print(f"oracle cross-check at n=2000 ({pathio.codec()}): "
                   f"|tv_fast - tv_dp| = {abs(fast.tv - ref.tv):.3e}")
 
-    paths = [generate(GeneratorSpec("random-walk", n, seed=args.seed)) for n in args.sizes]
-    cells = {name: [(path.n, query(path)) for path in paths] for name, query in queries.items()}
+    pairs = [pair(n) for n in args.sizes]
+    cells = {name: [(p[0].n, query(*p)) for p in pairs] for name, query in queries.items()}
     rounds = time_rounds(cells, libraries)
-    report(args.sizes, rounds, ("query", "route", "Msamples/s"), lambda name, n, t: n / t / 1e6)
+    report(args.sizes, rounds, ("query", "route", "Msamples/s"),
+           lambda name, n, t: (2 if name == "l1_upper_bound" else 1) * n / t / 1e6)
 
 
 if __name__ == "__main__":

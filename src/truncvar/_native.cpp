@@ -12,10 +12,10 @@
 // returns -1 on anything else so that the caller re-reads the file with the
 // line parser.
 //
-// The per-sample loops, window_scan, running_pairs and greedy_skeleton,
-// perform the floating-point operations of their Python references in the
-// same order, so the results are the same bits; the build turns off
-// contraction of a*b+c into fused multiply-adds to keep it so.
+// The per-sample loops, window_scan, running_pairs, greedy_skeleton and
+// persistence, perform the floating-point operations of their Python
+// references in the same order, so the results are the same bits; the build
+// turns off contraction of a*b+c into fused multiply-adds to keep it so.
 //
 // running_pairs builds a Python list, so it is the one routine called with
 // the GIL held. It uses a handful of calls of CPython's stable ABI, declared
@@ -330,6 +330,44 @@ int64_t greedy_skeleton(const double* values, int64_t n, double half, int64_t* k
             held = values[j];
         }
     }
+    return count;
+}
+
+// The persistence values Q of truncated_variation._persistence, unsorted:
+// one walk drops plateau repeats (v == prev, so -0.0 repeats 0.0), finds the
+// turning points and pairs them on stack with the four-point rainflow rule.
+// When the range between the top two points is no larger than the ranges
+// beside it, it goes to q twice and both points leave; the ranges between the
+// points left on stack go to q last. q and stack each hold n entries; returns
+// how many values q holds (at most n - 1).
+int64_t persistence(const double* values, int64_t n, double* q, double* stack) {
+    if (n <= 0) return 0;
+    int64_t count = 0, top = 0;
+    auto push = [&](double v) {
+        while (top >= 3) {
+            const double inner = std::fabs(stack[top - 1] - stack[top - 2]);
+            if (inner > std::fabs(stack[top - 2] - stack[top - 3]) ||
+                inner > std::fabs(v - stack[top - 1]))
+                break;
+            q[count++] = inner;
+            q[count++] = inner;
+            top -= 2;
+        }
+        stack[top++] = v;
+    };
+    double prev = values[0];
+    push(prev);
+    int rising = -1;  // -1 before the first move, then whether the last move rose
+    for (int64_t j = 1; j < n; ++j) {
+        const double v = values[j];
+        if (v == prev) continue;
+        const int rise = v - prev > 0;
+        if (rising >= 0 && rise != rising) push(prev);  // prev turns the path
+        rising = rise;
+        prev = v;
+    }
+    if (rising >= 0) push(prev);  // the last point, once the path has moved
+    for (int64_t k = 1; k < top; ++k) q[count++] = std::fabs(stack[k] - stack[k - 1]);
     return count;
 }
 

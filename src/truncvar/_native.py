@@ -18,7 +18,11 @@ This is the one list of what runs natively. The library holds:
   the running extreme of each window and one (kind, extreme) tuple per
   sample, a new one where a window starts or the extreme moves, with the
   cyclic GC paused while it runs;
-- ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``.
+- ``greedy_skeleton``, the greedy pass of ``optimal_approx.step_skeleton``;
+- ``persistence``, the rainflow pass of ``truncated_variation._persistence``
+  behind ``l1_upper_bound``: plateau repeats dropped, turning points found
+  and paired on a stack in one walk over the samples, the values left
+  unsorted.
 
 ``running_pairs`` makes Python objects, so it is bound on the one
 ``ctypes.CDLL`` handle through a ``ctypes.PYFUNCTYPE`` prototype, which
@@ -81,6 +85,8 @@ def library():
     lib.window_scan.restype = _I64
     lib.greedy_skeleton.argtypes = (_PTR, _I64, _F64, _PTR)
     lib.greedy_skeleton.restype = _I64
+    lib.persistence.argtypes = (_PTR, _I64, _PTR, _PTR)
+    lib.persistence.restype = _I64
     prototype = ctypes.PYFUNCTYPE(_OBJ, _PTR, _I64, _PTR, _I64, _I64, _OBJ, _OBJ, _OBJ)
     lib.running_pairs = prototype(("running_pairs", lib))
     return lib

@@ -85,11 +85,15 @@ def real_number(value, code: str, what: str) -> float:
 
 def real_numbers(values, code: str, what: str) -> np.ndarray:
     """A new float64 array of ``values``, else PathError ``code``: an int or float ndarray
-    by dtype; a list, tuple, object ndarray or number by :func:`real_number`, nesting kept."""
+    by dtype; a list, tuple, object ndarray or number by :func:`real_number`, nesting kept.
+    A flat list or tuple of exact ints and floats is cast in one go, to the same floats."""
     try:
-        by_entry = isinstance(values, (list, tuple, int, float, np.number))
-        a = np.array(values, dtype=object) if by_entry else values
-    except ValueError:  # nested arrays of unequal shapes
+        if isinstance(values, (list, tuple)) and set(map(type, values)) <= {float, int}:
+            a = np.array(values, dtype=np.float64)
+        else:
+            by_entry = isinstance(values, (list, tuple, int, float, np.number))
+            a = np.array(values, dtype=object) if by_entry else values
+    except (OverflowError, ValueError):  # an int past float64; nested arrays of unequal shapes
         a = None
     kind = a.dtype.kind if isinstance(a, np.ndarray) else None
     if kind == "O":

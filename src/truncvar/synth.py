@@ -110,7 +110,9 @@ def _check_spec(spec: GeneratorSpec) -> tuple[int, int, float, dict[str, float]]
 
 
 def generate(spec: GeneratorSpec) -> SampledPath:
-    """Build the path described by ``spec``; times are 0 .. length-1."""
+    """Build the path described by ``spec``; times are 0 .. length-1. A scale
+    or knob whose path has a value past float64 is PathError
+    ``bad-generator-spec``, with no numpy warning."""
     n, seed, scale, knobs = _check_spec(spec)
     try:
         times = np.arange(np.intp(n), dtype=np.float64)
@@ -119,23 +121,26 @@ def generate(spec: GeneratorSpec) -> SampledPath:
         # empty range), or more samples than numpy can allocate
         raise PathError("bad-generator-spec", f"length {n} is too large") from None
 
-    if spec.kind == "ramp":
-        values = scale * times
-    elif spec.kind == "random-walk":
-        steps = scale * (2.0 * uniform_stream(seed, n - 1) - 1.0)
-        values = np.concatenate([[0.0], np.cumsum(steps)])
-    elif spec.kind == "jump-mixture":
-        p, jump_scale = knobs["jump_prob"], knobs["jump_scale"]
-        u_step = uniform_stream(seed, n - 1, start=0)
-        u_jump = uniform_stream(seed, n - 1, start=n)
-        u_mag = uniform_stream(seed, n - 1, start=2 * n)
-        steps = 0.1 * scale * (2.0 * u_step - 1.0)
-        steps = steps + np.where(
-            u_jump < p, jump_scale * scale * (2.0 * u_mag - 1.0), 0.0
-        )
-        values = np.concatenate([[0.0], np.cumsum(steps)])
-    else:  # near-threshold-oscillator
-        amp = knobs["amplitude_ratio"] * knobs["target_level"]
-        values = np.where(np.arange(n) % 2 == 1, amp, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # values past float64 are refused below
+        if spec.kind == "ramp":
+            values = scale * times
+        elif spec.kind == "random-walk":
+            steps = scale * (2.0 * uniform_stream(seed, n - 1) - 1.0)
+            values = np.concatenate([[0.0], np.cumsum(steps)])
+        elif spec.kind == "jump-mixture":
+            p, jump_scale = knobs["jump_prob"], knobs["jump_scale"]
+            u_step = uniform_stream(seed, n - 1, start=0)
+            u_jump = uniform_stream(seed, n - 1, start=n)
+            u_mag = uniform_stream(seed, n - 1, start=2 * n)
+            steps = 0.1 * scale * (2.0 * u_step - 1.0)
+            steps = steps + np.where(
+                u_jump < p, jump_scale * scale * (2.0 * u_mag - 1.0), 0.0
+            )
+            values = np.concatenate([[0.0], np.cumsum(steps)])
+        else:  # near-threshold-oscillator
+            amp = knobs["amplitude_ratio"] * knobs["target_level"]
+            values = np.where(np.arange(n) % 2 == 1, amp, 0.0)
+    if not np.isfinite(values).all():
+        raise PathError("bad-generator-spec", f"the {spec.kind} path's values overflow float64")
 
     return make_path(times, values)

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from ._scan import _window_scan, checked_total, rise_fall, tv_scan
 from .path_model import (
     PathError,
@@ -129,8 +130,16 @@ def _persistence(values: np.ndarray) -> np.ndarray:
     stack (the four-point rainflow rule). When the range between the top two
     points is no larger than the ranges beside it, that max and that min
     pair up in both filtrations: the range enters Q twice and both points
-    leave. The ranges between the points left are the rest of Q.
+    leave. The ranges between the points left are the rest of Q. Where
+    ``_native.library()`` loads, its ``persistence`` makes the same pass in
+    one walk over the samples; this loop stays the reference.
     """
+    lib = _native.library()
+    if lib is not None:  # the same differences in the same multiset, then sorted
+        vals = np.ascontiguousarray(values, np.float64)
+        q, stack = np.empty(vals.shape[0]), np.empty(vals.shape[0])
+        count = lib.persistence(vals.ctypes.data, vals.shape[0], q.ctypes.data, stack.ctypes.data)
+        return np.sort(q[:count])
     x = values[np.r_[True, values[1:] != values[:-1]]]  # drop plateau repeats
     rise = np.diff(x) > 0
     turns = x[np.r_[True, rise[1:] != rise[:-1], True]] if x.size > 1 else x

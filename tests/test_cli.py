@@ -284,6 +284,16 @@ class TestExitCodes:
         assert "bad-generator-spec" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_generator_scale_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a scale that passes the positive-real rule but whose ramp overflows
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--kind", "ramp", "--length", "3", "--scale", "1.7e308", "--out", "x.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        assert "bad-generator-spec" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_usage_exit_2(self, capsys):
         assert main(["tv"]) == 2
         assert main(["frobnicate"]) == 2

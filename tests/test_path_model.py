@@ -23,6 +23,7 @@ from truncvar import (
     total_variation,
     truncated_variation,
 )
+from truncvar.path_model import real_numbers
 
 from _oracles import path_from
 
@@ -368,3 +369,34 @@ def test_one_real_number_rule(x, accepted, listed):
         assert err.value.code == code
     if accepted:
         assert [call(x) for call, _ in calls] == [call(reference) for call, _ in calls]
+
+
+@pytest.mark.parametrize("values, accepted", [
+    ([1.0, True], False),  # a bool is no real number, even among floats
+    ([1, 10**400], False),  # an int past float64
+    ([1.0, -(2**1024)], False),
+    ([1.0, float("inf")], False),
+    ([1.0, np.float64(2)], True),  # a numpy scalar takes the entry-by-entry rule
+    ((0.5, 10**20, -0.0, 0), True),
+    ([], True),
+], ids=_case_id)
+def test_flat_lists_of_ints_and_floats_keep_the_rule(values, accepted):
+    if accepted:
+        assert real_numbers(values, "non-finite", "value").tolist() == [float(v) for v in values]
+    else:
+        with pytest.raises(PathError) as err:
+            real_numbers(values, "non-finite", "value")
+        assert err.value.code == "non-finite"
+
+
+def test_flat_list_cast_gives_the_floats_of_the_rule():
+    # ints of every size up to float64's range, mixed with floats; the one cast
+    # must round each int as float() does, which the entry-by-entry rule uses
+    rng = np.random.default_rng(31)
+    bases, shifts = rng.integers(-2**62, 2**62, 2000), rng.integers(0, 960, 2000)
+    ints = [int(b) << int(s) for b, s in zip(bases, shifts)]
+    values = [v if i % 3 else float(v) / 7 for i, v in enumerate(ints)]
+    fast = real_numbers(values, "non-finite", "value")
+    by_entry = real_numbers(np.array(values, dtype=object), "non-finite", "value")
+    assert fast.tobytes() == by_entry.tobytes()
+    assert make_path(list(range(len(values))), values).values.tobytes() == fast.tobytes()

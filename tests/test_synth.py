@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ def test_unknown_kind_rejected():
     with pytest.raises(PathError) as err:
         generate(GeneratorSpec("brownian", 10))
     assert err.value.code == "unknown-generator"
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("ramp", 3, scale=1.7976931348623157e308),
+    GeneratorSpec("random-walk", 1000, seed=1, scale=1e308),
+    GeneratorSpec("jump-mixture", 1000, seed=1, scale=1e300, extra={"jump_scale": 1e10}),
+    GeneratorSpec("near-threshold-oscillator", 4,
+                  extra={"target_level": 1e308, "amplitude_ratio": 10.0}),
+], ids=lambda spec: spec.kind)
+def test_overflowing_values_are_a_bad_spec_without_warnings(spec):
+    # each knob passes the positive-real rule, but the path it makes does not fit float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError) as err:
+            generate(spec)
+    assert err.value.code == "bad-generator-spec"
 
 
 def test_bad_spec_rejected():

@@ -25,6 +25,7 @@ from truncvar import (
 )
 from truncvar._scan import regime_scan, tv_scan
 
+from conftest import needs_lib, python_route
 from _oracles import (
     exhaustive_truncated,
     level_st,
@@ -174,6 +175,7 @@ class TestSweep:
         assert curve.tv_values.tolist() == [truncated_variation(p1, c).tv for c in (0.5, 10**20)]
 
 
+@pytest.mark.both_routes  # through _persistence
 class TestL1UpperBound:
     def test_flat_objective_two_ramps(self, ramp3):
         ramp = make_path([0, 1, 2], [0.0, 1.0, 2.0])
@@ -455,6 +457,7 @@ def best_breakpoint_split(comps, c, first, second):
     return min(scanned_sum(comps, s) for s in splits)
 
 
+@pytest.mark.both_routes
 @pytest.mark.parametrize("c, specs, pins", L1_PINNED)
 def test_l1_upper_bound_pinned(c, specs, pins):
     comps = [
@@ -482,6 +485,7 @@ def same_length_pair(n):
     return st.tuples(vals, vals)
 
 
+@pytest.mark.both_routes
 @given(st.integers(1, 12).flatmap(same_length_pair), st.floats(min_value=1e-3, max_value=60.0))
 @settings(deadline=None, max_examples=200)
 def test_l1_upper_bound_is_the_best_breakpoint_split(pair, c):
@@ -496,6 +500,7 @@ def test_l1_upper_bound_is_the_best_breakpoint_split(pair, c):
     assert abs(sum(split) - c) <= 1e-12 * c
 
 
+@pytest.mark.both_routes
 def test_l1_upper_bound_budget_far_above_oscillation():
     # the level floor must stay above half an ulp of the split, or a level
     # split - (split - floor) rounds to 0 and is rejected
@@ -651,6 +656,7 @@ def assert_persistence_route(path, levels):
         assert abs(got - oracle_truncated_variation(path, c).tv) <= tol
 
 
+@pytest.mark.both_routes
 def test_persistence_route_on_corpus():
     for path, c in mixed_corpus(40, seed=53, max_len=150):
         q = tv_module._persistence(path.values)
@@ -664,6 +670,7 @@ persistence_values_st = st.one_of(
 )
 
 
+@pytest.mark.both_routes
 @given(persistence_values_st, level_st)
 @settings(deadline=None, max_examples=200)
 def test_persistence_route_at_breakpoints(vals, c):
@@ -671,3 +678,27 @@ def test_persistence_route_at_breakpoints(vals, c):
     q = tv_module._persistence(path.values).tolist()
     around = [float(np.nextafter(v, d)) for v in q for d in (0.0, np.inf)]
     assert_persistence_route(path, [c, *q, *[v for v in around if v > 0]])
+
+
+PERSISTENCE_EDGES = {
+    "one-sample": [3.0],
+    "two-equal": [1.0, 1.0],
+    "two-rising": [0.0, 2.0],
+    "two-falling": [2.0, 0.0],
+    "constant": [-4.5] * 7,
+    "plateau-turns": [0.0, 0.0, 3.0, 3.0, 3.0, 1.0, 1.0, 4.0, 4.0, 2.0, 2.0],
+    "down-first": [5.0, 1.0, 4.0, 2.0, 3.0, 0.0],
+    "down-first-plateaus": [5.0, 5.0, 1.0, 1.0, 4.0, 4.0, 2.0],
+    "signed-zeros": [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0, 0.0],
+    "signed-zero-turns": [-0.0, 2.0, 0.0, -0.0, 1.0, -0.0],
+    "wide": [-1e308, 7e307, -5e307, 1e308],
+}
+
+
+@needs_lib
+def test_native_persistence_is_the_python_loop_byte_for_byte():
+    cases = [p.values for p, _ in mixed_corpus(200)]
+    cases += [np.array(v, dtype=np.float64) for v in PERSISTENCE_EDGES.values()]
+    native = [tv_module._persistence(v).tobytes() for v in cases]
+    with python_route():
+        assert [tv_module._persistence(v).tobytes() for v in cases] == native
