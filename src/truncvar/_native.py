@@ -4,13 +4,13 @@ This is the one list of what runs natively. The library holds:
 
 - the CSV codec of ``pathio`` (``format_rows`` and ``parse_rows``);
 - ``window_scan``, the trigger state machine of ``_scan.full_scan``,
-  ``_scan.rise_fall``, ``_scan.regime_scan`` and the totals-only
-  ``_scan.tv_scan`` (behind ``truncated_variation``, the final sum of
-  ``l1_upper_bound`` and the CLI's ``tv`` and ``bench``), all four run
-  through ``_scan._machine``. It shares its contract with the Python
+  ``_scan.rise_fall``, ``regime_detector.detect_regimes`` and the
+  totals-only ``_scan.tv_scan`` (behind ``truncated_variation``, the final
+  sum of ``l1_upper_bound`` and the CLI's ``tv`` and ``bench``), all four
+  run through ``_scan._machine``. It shares its contract with the Python
   machine ``_scan._window_scan``: as it walks the samples it writes only
   the outputs it is handed (a null pointer skips one), the window starts
-  and the skeleton for ``regime_scan``, the band and the rise/fall arrays
+  and the skeleton for ``detect_regimes``, the band and the rise/fall arrays
   for ``full_scan``, the rise/fall arrays alone (a null band) for
   ``rise_fall``, nothing but the totals for ``tv_scan``;
 - ``running_pairs``, which builds the list of

@@ -19,8 +19,9 @@ from the state each sample leaves, so every scan is one walk of the
 samples on either route. The band ``approx`` may be left out on its own,
 which ``rise_fall`` does for the consumers that read only the rise/fall
 pair. ``_machine`` runs the native one when the library loads and
-``_window_scan`` otherwise; the totals-only ``tv_scan``, ``regime_scan``,
-``full_scan`` and ``rise_fall`` go through it. Only the skeleton ladder of
+``_window_scan`` otherwise; the totals-only ``tv_scan``, ``full_scan`` and
+``rise_fall`` go through it, and ``regime_detector.detect_regimes`` calls it
+with starts and a skeleton. Only the skeleton ladder of
 ``truncated_variation.sweep`` calls ``_window_scan`` on either route.
 
 The *skeleton* at level c is the extreme anchored at each trigger, in time
@@ -60,9 +61,6 @@ from .path_model import checked_total
 SEEK = 0
 UP = 1
 DOWN = 2
-
-DIRECTION_LABELS = {SEEK: "none", UP: "up-first", DOWN: "down-first"}
-KIND_LABELS = {SEEK: "seek", UP: "up", DOWN: "down"}
 
 
 def _window_scan(values, c, starts=None, skeleton=None, out=None):
@@ -184,14 +182,6 @@ class ScanResult(NamedTuple):
     down: np.ndarray
 
 
-class Regimes(NamedTuple):
-    up_times: np.ndarray
-    down_times: np.ndarray
-    lows: np.ndarray
-    highs: np.ndarray
-    direction: int
-
-
 def _machine(values, c, starts=None, skeleton=None, out=None):
     """``(up, down, direction, k)`` from the native trigger machine when the
     library loads, else from ``_window_scan``; both write the same buffers
@@ -218,23 +208,6 @@ def _machine(values, c, starts=None, skeleton=None, out=None):
 def tv_scan(values: np.ndarray, c: float) -> tuple[float, float, int]:
     """Totals ``(up, down, direction)`` at level c; nothing is recorded per trigger."""
     return _machine(values, c)[:3]
-
-
-def _alternate(a, direction):
-    """Split values listed per regime in time order by the regime's kind:
-    (those of up triggers or lows, those of down triggers or highs)."""
-    first = 1 if direction == DOWN else 0
-    return a[first::2].copy(), a[1 - first :: 2].copy()
-
-
-def regime_scan(values: np.ndarray, c: float) -> Regimes:
-    """Trigger indices and window extremes, without the per-sample arrays."""
-    # k <= n entries; pages past the k written stay untouched
-    n = values.shape[0]
-    starts, skeleton = np.empty(n, np.int64), np.empty(n)
-    _, _, direction, k = _machine(values, c, starts, skeleton)
-    up_times, down_times = _alternate(starts[1:k], direction)
-    return Regimes(up_times, down_times, *_alternate(skeleton[:k], direction), direction)
 
 
 def full_scan(values: np.ndarray, c: float) -> ScanResult:

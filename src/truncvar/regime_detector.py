@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from ._scan import DIRECTION_LABELS, DOWN, KIND_LABELS, SEEK, UP
-from ._scan import regime_scan
+from ._scan import DOWN, SEEK, UP, _machine
 from .path_model import PathError, SampledPath, _frozen, level_value
 
-_DIRECTIONS = {label: code for code, label in DIRECTION_LABELS.items()}
+# the labels of the scan's direction and state codes, indexed by code
+_FIRST_DIRECTIONS = ("none", "up-first", "down-first")
+_KINDS = ("seek", "up", "down")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,21 +96,24 @@ def _first_passage(values: np.ndarray, c: float, up: bool) -> int | None:
 
 
 def detect_regimes(path: SampledPath, c) -> RegimeDecomposition:
-    """Run the alternating scan and return the full index skeleton."""
+    """Run the alternating scan and return the full index skeleton.
+
+    The trigger machine writes the window starts ``[0, t0, t1, ...]`` and
+    the skeleton, each window's extreme in time order. The windows alternate
+    from the undecided one, so the odd entries of the starts and the even
+    ones of the skeleton are the up triggers and the lows, unless the first
+    trigger is down; ``_window_starts`` merges them back.
+    """
     c = level_value(c)
-    scan = regime_scan(path.values, c)
-    return RegimeDecomposition(
-        first_direction=DIRECTION_LABELS[scan.direction],
-        up_times=_frozen(scan.up_times),
-        down_times=_frozen(scan.down_times),
-        lows=_frozen(scan.lows),
-        highs=_frozen(scan.highs),
-        n=path.n,
-        c=c,
-    )
-
-
-_LABELS = (KIND_LABELS[SEEK], KIND_LABELS[UP], KIND_LABELS[DOWN])
+    n = path.n
+    # k <= n entries; pages past the k written stay untouched
+    starts, skeleton = np.empty(n, np.int64), np.empty(n)
+    _, _, direction, k = _machine(path.values, c, starts, skeleton)
+    times = _frozen(starts[1:k:2].copy()), _frozen(starts[2:k:2].copy())
+    extremes = _frozen(skeleton[0:k:2].copy()), _frozen(skeleton[1:k:2].copy())
+    if direction == DOWN:
+        times, extremes = times[::-1], extremes[::-1]
+    return RegimeDecomposition(_FIRST_DIRECTIONS[direction], *times, *extremes, n, c)
 
 
 def running_extremes(
@@ -140,15 +144,15 @@ def running_extremes(
         values = np.ascontiguousarray(path.values, np.float64)
         return lib.running_pairs(
             values.ctypes.data, values.shape[0], starts.ctypes.data, starts.shape[0],
-            direction == DOWN, *_LABELS,
+            direction == DOWN, *_KINDS,
         )
     n = path.n
-    up_label, down_label = _LABELS[UP], _LABELS[DOWN]
+    up_label, down_label = _KINDS[UP], _KINDS[DOWN]
     samples = memoryview(path.values)
     starts = iter(memoryview(starts)[1:])
     next_start = next(starts, n)
     track_max = direction == DOWN  # in the undecided window; flips at each trigger
-    label, extreme = _LABELS[SEEK], samples[0]
+    label, extreme = _KINDS[SEEK], samples[0]
     pair = (label, extreme)
     out: list[tuple[str, float]] = []
     for j, v in enumerate(samples):
@@ -174,10 +178,12 @@ def _window_starts(path: SampledPath, decomposition: RegimeDecomposition):
         )
     ups = np.asarray(decomposition.up_times)
     downs = np.asarray(decomposition.down_times)
-    direction = _DIRECTIONS.get(decomposition.first_direction)
+    label = decomposition.first_direction
+    known = isinstance(label, str) and label in _FIRST_DIRECTIONS
+    direction = _FIRST_DIRECTIONS.index(label) if known else None
     first, second = (downs, ups) if direction == DOWN else (ups, downs)
     if direction is None:
-        problem = f"unknown first_direction {decomposition.first_direction!r}"
+        problem = f"unknown first_direction {label!r}"
     elif any(t.ndim != 1 or (t.size and t.dtype.kind not in "iu") for t in (ups, downs)):
         problem = "trigger times must be one-dimensional integer arrays"
     elif direction == SEEK and first.size + second.size:

@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _native
-from ._scan import _window_scan, checked_total, rise_fall, tv_scan
+from ._scan import _window_scan, rise_fall, tv_scan
 from .path_model import (
     PathError,
     SampledPath,
     _frozen,
+    checked_total,
     level_value,
     osc_norm,
     positive_real,
@@ -167,15 +168,17 @@ def l1_upper_bound(
     right slope at a level is ``-#{q in Q_i : q > level}``. Every component
     starts at a small floor (the infimum may sit on the open boundary at 0),
     and the rest of the budget goes to the (component, segment) pieces in
-    decreasing order of slope magnitude, ties by component index and then by
-    level; budget left once every component sits at its oscillation goes to
-    the first component. The split is exact, not searched, among levels at
+    decreasing order of slope magnitude, ties by component index (each
+    component has one piece per slope); budget left once every component
+    sits at its oscillation goes to the first component. The split is exact, not searched, among levels at
     or above the floor. The bound is one scan per component at its level,
     summed in component order, so it equals
     ``sum(truncated_variation(f_i, c_i).tv)`` and is attained. Returns the
     bound and the split. ``grid_points`` must be a real number (the rule of
     :class:`Level`) of at least 2, else PathError ``bad-level-grid``, and is
     otherwise ignored; it is kept so that existing callers keep working.
+    A level c whose share ``c / len(components)`` rounds to 0.0 cannot be
+    split: PathError ``bad-level``.
     """
     comps = list(components)
     if not comps:
@@ -186,6 +189,8 @@ def l1_upper_bound(
     if any(not np.array_equal(p.times, comps[0].times) for p in comps[1:]):
         raise PathError("domain-mismatch", "components must share one time grid")
     n_comp = len(comps)
+    if c / n_comp == 0.0:
+        raise PathError("bad-level", f"level {c!r} is too small to split across {n_comp} components")
     # at least one ulp of c, so that c minus the other levels stays above 0
     floor = min(max(1e-12 * max(osc_norm(p) for p in comps), float(np.spacing(c))), c / n_comp)
     pieces = [q[q > floor] for q in (_persistence(p.values) for p in comps)]
@@ -193,14 +198,14 @@ def l1_upper_bound(
     lengths = np.concatenate([np.diff(q, prepend=floor) for q in pieces])
     owner = np.repeat(np.arange(n_comp), [q.size for q in pieces])
     slope = np.concatenate([np.arange(q.size, 0, -1) for q in pieces])
-    order = np.lexsort((ends, owner, -slope))
+    order = np.argsort(-slope, kind="stable")  # pieces come in component order
     with np.errstate(over="ignore"):  # a sum past float64 is past any budget too
         reach = np.cumsum(lengths[order])
     filled = int(np.searchsorted(reach, c - n_comp * floor, side="right"))
-    split = [floor] * n_comp
-    # a component's pieces come in increasing level order, so the last wins
-    for i, end in zip(owner[order[:filled]].tolist(), ends[order[:filled]].tolist()):
-        split[i] = end
+    # a component's filled pieces end at rising levels, so the highest is the last
+    split, done = np.full(n_comp, floor), order[:filled]
+    np.maximum.at(split, owner[done], ends[done])
+    split = split.tolist()
     last = int(owner[order[filled]]) if filled < order.size else 0
     split[last] = 0.0  # so that the sum below runs over the other levels
     split[last] = max(c - sum(split), floor)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncvar import _native, detect_regimes, make_path, pathio, running_extremes
-from truncvar._scan import KIND_LABELS
+from truncvar.regime_detector import _KINDS
 
 from conftest import needs_lib
 
@@ -332,7 +332,7 @@ def test_running_pairs_leaves_no_reference_or_memory_behind():
     rng = np.random.default_rng(3)
     path = make_path(np.arange(5000.0), np.cumsum(rng.standard_normal(5000)))
     dec = detect_regimes(path, 1.0)
-    labels = list(KIND_LABELS.values())
+    labels = list(_KINDS)  # the label objects running_extremes passes
     running_extremes(path, dec)  # warm caches and free lists first
     gc.collect()
     counts = [sys.getrefcount(label) for label in labels]
@@ -353,7 +353,7 @@ def test_running_pairs_leaves_no_reference_or_memory_behind():
 def test_running_pairs_raises_the_error_of_a_failed_allocation():
     # a list this long is refused before anything is allocated or read
     with pytest.raises(MemoryError):
-        LIB.running_pairs(None, 2**62, None, 0, 0, *KIND_LABELS.values())
+        LIB.running_pairs(None, 2**62, None, 0, 0, *_KINDS)
 
 
 @needs_lib
@@ -369,7 +369,7 @@ def test_running_pairs_restores_the_gc_setting(enabled):
         running_extremes(path, dec)
         assert gc.isenabled() is enabled
         with pytest.raises(MemoryError):
-            LIB.running_pairs(None, 2**62, None, 0, 0, *KIND_LABELS.values())
+            LIB.running_pairs(None, 2**62, None, 0, 0, *_KINDS)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()

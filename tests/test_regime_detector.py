@@ -16,12 +16,11 @@ from truncvar import (
     running_extremes,
 )
 
-from truncvar._scan import KIND_LABELS
-from truncvar.regime_detector import _FIRST_BLOCK
+from truncvar.regime_detector import _FIRST_BLOCK, _KINDS
 
 from _oracles import full_scan_loop, level_st, mixed_corpus, path_from
 
-pytestmark = pytest.mark.both_routes  # detect_regimes runs regime_scan
+pytestmark = pytest.mark.both_routes  # detect_regimes calls _machine with starts and a skeleton
 
 values_st = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=50
@@ -174,6 +173,7 @@ class TestBadDecomposition:
             ("up-first", [3], [2]),  # up-first, yet the down trigger is first
             ("down-first", [2], [2]),  # two triggers at one sample
             ("sideways", [], []),  # no such direction
+            (["up-first"], [], []),  # a direction that is not a string
         ],
     )
     def test_rejected(self, p1, direction, ups, downs):
@@ -351,7 +351,7 @@ def test_running_extremes_keep_signed_zeros(vals, c):
     p = path_from(x)
     kind, extreme = full_scan_loop(x, c)[3:5]
     pairs = running_extremes(p, detect_regimes(p, c))
-    assert [k for k, _ in pairs] == [KIND_LABELS[int(k)] for k in kind]
+    assert [k for k, _ in pairs] == [_KINDS[int(k)] for k in kind]
     assert all(type(e) is float for _, e in pairs)
     assert [e for _, e in pairs] == extreme.tolist()
     assert [math.copysign(1, e) for _, e in pairs] == np.copysign(1, extreme).tolist()

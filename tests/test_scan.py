@@ -1,10 +1,11 @@
 """Per-sample scan arrays against the sample-by-sample reference loop.
 
-``full_scan``, ``regime_scan`` and the totals-only ``tv_scan`` run the
-native trigger machine, and ``running_extremes`` the native
-``running_pairs``, when the library loads (see ``_native``), and their
-plain-Python routes otherwise. The fields of
-``full_scan``, and the regimes and running extremes of ``regime_detector``,
+``full_scan``, the totals-only ``tv_scan`` and ``detect_regimes`` (which
+calls ``_machine`` with starts and a skeleton) run the native trigger
+machine, and ``running_extremes`` the native ``running_pairs``, when the
+library loads (see ``_native``), and their plain-Python routes otherwise.
+The fields of ``full_scan``, the regimes and running extremes of
+``regime_detector``, and the window starts and skeleton ``_machine`` writes
 must match ``full_scan_loop`` bit for bit (floats compared as int64 bit
 patterns), the sign of a zero included; those tests are marked
 ``both_routes``, so they run on each route, as do the oracle-free scaling,
@@ -36,18 +37,8 @@ from truncvar import (
     running_extremes,
     step_skeleton,
 )
-from truncvar._scan import (
-    DIRECTION_LABELS,
-    DOWN,
-    KIND_LABELS,
-    Regimes,
-    ScanResult,
-    _machine,
-    _window_scan,
-    full_scan,
-    regime_scan,
-    tv_scan,
-)
+from truncvar._scan import DOWN, ScanResult, _machine, _window_scan, full_scan, tv_scan
+from truncvar.regime_detector import _FIRST_DIRECTIONS, _KINDS
 
 from _oracles import full_scan_loop, mixed_corpus, skeleton_scan
 from conftest import needs_lib, python_route
@@ -74,23 +65,32 @@ def assert_scan_exact(vals, c):
 
     path = make_path(np.arange(x.size, dtype=float), x)
     dec = detect_regimes(path, c)
-    assert dec.first_direction == DIRECTION_LABELS[direction]
+    assert dec.first_direction == _FIRST_DIRECTIONS[direction]
     for name, ref_field in zip(
         ("up_times", "down_times", "lows", "highs"), (up_times, down_times, lows, highs)
     ):
         assert_same_bits(getattr(dec, name), ref_field, name)
 
     pairs = running_extremes(path, dec)
-    assert [k for k, _ in pairs] == [KIND_LABELS[int(k)] for k in kind]
+    assert [k for k, _ in pairs] == [_KINDS[int(k)] for k in kind]
     assert all(type(e) is float for _, e in pairs)
     assert_same_bits(np.array([e for _, e in pairs]), extreme, "running_extremes")
 
     # the skeleton: regime lows and highs, interleaved
-    skeleton = skeleton_scan(x, c)[3]
-    first, second = (highs, lows) if direction == DOWN else (lows, highs)
-    inter = np.empty(first.size + second.size)
-    inter[0::2], inter[1::2] = first, second
-    assert_same_bits(skeleton, inter, "skeleton")
+    assert_same_bits(skeleton_scan(x, c)[3], window_layout(ref)[1], "skeleton")
+
+
+def window_layout(ref):
+    """The window starts ``[0, t0, t1, ...]`` and the skeleton of a
+    ``full_scan_loop`` result: its triggers and extremes, interleaved."""
+    up_times, down_times, lows, highs, direction = ref[5:]
+    times = (down_times, up_times) if direction == DOWN else (up_times, down_times)
+    extremes = (highs, lows) if direction == DOWN else (lows, highs)
+    starts = np.zeros(1 + up_times.size + down_times.size, np.int64)
+    starts[1::2], starts[2::2] = times
+    skeleton = np.empty(lows.size + highs.size)
+    skeleton[0::2], skeleton[1::2] = extremes
+    return starts, skeleton
 
 
 @pytest.mark.both_routes
@@ -164,12 +164,23 @@ def test_non_contiguous_values():
     ref = full_scan_loop(view.copy(), 1.0)
     for name, ref_field in zip(ScanResult._fields, ref):
         assert_same_bits(getattr(full_scan(view, 1.0), name), ref_field, name)
-    for name, ref_field in zip(Regimes._fields, ref[5:]):
-        assert_same_bits(getattr(regime_scan(view, 1.0), name), ref_field, name)
+    n = view.size
+    starts, skeleton = np.empty(n, np.int64), np.empty(n)
+    *totals, k = _machine(view, 1.0, starts, skeleton)
+    assert totals[2] == ref[-1]
+    want_starts, want_skeleton = window_layout(ref)
+    assert_same_bits(starts[:k], want_starts, "starts")
+    assert_same_bits(skeleton[:k], want_skeleton, "skeleton")
+
+
+def regimes_of(x, c):
+    return detect_regimes(make_path(np.arange(x.size, dtype=float), x), c)
 
 
 @pytest.mark.both_routes
-@pytest.mark.parametrize("scan", [full_scan, regime_scan, tv_scan])
+@pytest.mark.parametrize(
+    "scan", [full_scan, regimes_of, tv_scan], ids=["full_scan", "detect_regimes", "tv_scan"]
+)
 def test_tv_overflow(scan):
     x = np.array([0.0, 9e307, 0.0])  # up and down fit float64, up + down does not
     with pytest.raises(PathError) as err:
@@ -237,7 +248,7 @@ def test_time_reversal_swaps_up_and_down(vals, data):
 
 
 def assert_routes_agree(vals, c):
-    """``full_scan``, ``regime_scan``, ``step_skeleton``, ``running_extremes``,
+    """``full_scan``, ``detect_regimes``, ``step_skeleton``, ``running_extremes``,
     the totals-only ``tv_scan`` and the skeleton-only machine call: the native
     loops give the Python routes' bits, the same direction, the same kinds,
     floats and signs of zero pair by pair, and the same tuples shared between
@@ -249,7 +260,7 @@ def assert_routes_agree(vals, c):
     def scans():
         pairs = running_extremes(path, dec)
         totals = tv_scan(x, c)
-        return full_scan(x, c), regime_scan(x, c), step_skeleton(path, c), pairs, totals
+        return full_scan(x, c), detect_regimes(path, c), step_skeleton(path, c), pairs, totals
 
     assert pathio.codec() == "native"  # unmarked: nothing patched the library away
     native = scans()
@@ -257,8 +268,9 @@ def assert_routes_agree(vals, c):
         ref = scans()
     for name, got, want in zip(ScanResult._fields, native[0], ref[0]):
         assert_same_bits(got, want, name)
-    for name, got, want in zip(Regimes._fields, native[1], ref[1]):
-        assert_same_bits(got, want, name)
+    assert native[1].first_direction == ref[1].first_direction
+    for name in ("up_times", "down_times", "lows", "highs"):
+        assert_same_bits(getattr(native[1], name), getattr(ref[1], name), name)
     for name in ("times", "values"):
         assert_same_bits(getattr(native[2], name), getattr(ref[2], name), name)
     assert len(native[3]) == len(ref[3]) == x.size

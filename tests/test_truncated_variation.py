@@ -23,7 +23,7 @@ from truncvar import (
     total_variation,
     truncated_variation,
 )
-from truncvar._scan import regime_scan, tv_scan
+from truncvar._scan import tv_scan
 
 from conftest import needs_lib, python_route
 from _oracles import (
@@ -214,6 +214,20 @@ class TestL1UpperBound:
         assert bound == 0.0
         assert sum(split) == pytest.approx(1.0, abs=1e-12)
 
+    def test_slope_ties_go_to_the_lower_component(self):
+        # Q = {1, 1, 3, 3} on both: every slope ties, and the budget runs
+        # out inside the slope-2 pieces, so the first component gets the rest
+        p = make_path([0, 1, 2, 3, 4], [0.0, 2.0, 1.0, 3.0, 0.0])
+        bound, split = l1_upper_bound([p, p], 3.0)
+        assert split == [2.0, 1.0]
+        assert bound == scanned_sum([p, p], split) == 6.0
+
+    @pytest.mark.parametrize("n_comp, c", [(2, 5e-324), (3, 5e-324), (4, 1e-323)])
+    def test_level_too_small_to_split(self, p1, n_comp, c):
+        with pytest.raises(PathError, match=f"{c!r}.*{n_comp} components") as err:
+            l1_upper_bound([p1] * n_comp, c)
+        assert err.value.code == "bad-level"
+
 
 @pytest.mark.both_routes
 @given(values_st, level_st)
@@ -291,11 +305,11 @@ def assert_certified(path, c):
     ``sum((|f(w[i+1]) - f(w[i])| - c)+)`` for any increasing indices w, and
     ``lazy_approximation`` is such a path. The witnesses w are the first
     sample of each window at the window's extreme, read off the triggers of
-    ``regime_scan`` and the skeleton; the lower bound and the achieved
+    ``detect_regimes`` and the skeleton; the lower bound and the achieved
     variation must both meet ``tv`` within ``(k + 2) * eps`` times the
     summed gaps and levels of the k-value skeleton."""
     x = path.values
-    regimes = regime_scan(x, c)
+    regimes = detect_regimes(path, c)
     starts = np.sort(np.concatenate([[0], regimes.up_times, regimes.down_times]))
     skeleton = skeleton_scan(x, c)[3]
     k = skeleton.size
