@@ -18,7 +18,6 @@ from .optimal_approx import (
     zero_start_approximation,
 )
 from .path_model import (
-    Level,
     PathError,
     SampledPath,
     add_constant,
@@ -54,7 +53,6 @@ __all__ = [
     "ApproximationResult",
     "GeneratorSpec",
     "JordanPair",
-    "Level",
     "PathError",
     "RegimeDecomposition",
     "SampledPath",

@@ -57,20 +57,6 @@ class SampledPath:
         return float(self.times[0]), float(self.times[-1])
 
 
-@dataclass(frozen=True)
-class Level:
-    """Strictly positive, finite threshold in the same units as path values.
-
-    Every number a path is built from follows :func:`real_number`; every
-    level, level grid and generator parameter also > 0 (:func:`positive_real`).
-    """
-
-    c: float
-
-    def __post_init__(self):
-        positive_real(self.c, "bad-level", "level")
-
-
 def real_number(value, code: str, what: str) -> float:
     """``float(value)`` for an int, a float, or a numpy integer or float (no
     bool or ``np.timedelta64``) finite in float64, else PathError ``code``."""
@@ -122,8 +108,10 @@ def positive_reals(values, code: str, what: str) -> np.ndarray:
 
 
 def level_value(c) -> float:
-    """A :class:`Level` or a bare number, by the rule of :class:`Level`, as a float."""
-    return float(c.c) if isinstance(c, Level) else positive_real(c, "bad-level", "level")
+    """A level c as a float, else PathError ``bad-level``. Every number a path is built
+    from follows :func:`real_number`; every level, level grid and generator parameter
+    is also > 0 (:func:`positive_real`)."""
+    return positive_real(c, "bad-level", "level")
 
 
 def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:

@@ -33,7 +33,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` of the SplitMix64 stream for ``seed``."""
+    """Outputs ``start .. start+count-1`` of the SplitMix64 stream for ``seed``. All
+    three are integers by :func:`_whole`, and a negative seed wraps mod 2**64."""
+    seed, count, start = _whole(seed, "seed"), _whole(count, "count"), _whole(start, "start")
     if count < 0 or start < 0:
         raise PathError("bad-generator-spec", "count and start must be >= 0")
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -60,7 +62,7 @@ class GeneratorSpec:
         ``amplitude_ratio * target_level``, so ratios below 1 stay invisible
         at the target level and ratios above 1 are seen at every swing.
         ``scale`` is ignored for this kind.
-    ``scale`` and the knobs follow the rule of :class:`~truncvar.path_model.Level`;
+    ``scale`` and the knobs follow :func:`~truncvar.path_model.positive_real`;
     ``length`` and ``seed`` are integers, not bools (else PathError
     ``bad-generator-spec``).
     """

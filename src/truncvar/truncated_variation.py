@@ -105,7 +105,7 @@ def sweep(path: SampledPath, levels: Sequence[float]) -> SweepCurve:
     see, over its own input. The same comparisons and the same additions
     run on the same values as in a scan of the whole path, so every
     ``tv_values[i]`` equals ``truncated_variation(path, levels[i]).tv`` bit
-    for bit. Each level follows the rule of :class:`Level` (PathError
+    for bit. Each level follows :func:`positive_real` (PathError
     ``bad-level-grid``).
     """
     grid = positive_reals(levels, "bad-level-grid", "level")
@@ -175,7 +175,7 @@ def l1_upper_bound(
     summed in component order, so it equals
     ``sum(truncated_variation(f_i, c_i).tv)`` and is attained. Returns the
     bound and the split. ``grid_points`` must be a real number (the rule of
-    :class:`Level`) of at least 2, else PathError ``bad-level-grid``, and is
+    :func:`positive_real`) of at least 2, else PathError ``bad-level-grid``, and is
     otherwise ignored; it is kept so that existing callers keep working.
     A level c whose share ``c / len(components)`` rounds to 0.0 cannot be
     split: PathError ``bad-level``.

@@ -267,7 +267,13 @@ class TestExitCodes:
 
     def test_bad_level_grid_exit_4(self, p1_file, tmp_path, capsys):
         out = tmp_path / "curve.csv"
-        assert main(["sweep", p1_file, "--levels", "ugh", "--out", str(out)]) == 4
+        for grid, why in [
+            ("ugh", "expected lo:hi:step"), ("a:1:0.5", "non-numeric grid"), ("2:1:0.5", "lo <= hi"),
+        ]:
+            assert main(["sweep", p1_file, "--levels", grid, "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert "bad-level-grid" in err and why in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["1e-300:1:1e-300", "1e-300:1e300:1e-300"])
     def test_level_grid_too_large_exit_4(self, p1_file, tmp_path, capsys, grid):

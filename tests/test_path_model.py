@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from truncvar import (
     GeneratorSpec,
-    Level,
     PathError,
     add_constant,
     combine,
@@ -268,7 +267,7 @@ def test_total_variation_overflow_is_a_path_error_without_warnings():
         assert total_variation(make_path([0, 1], [-8e307, 8e307])) == 1.6e308
 
 
-# the rule of Level, which every level, level grid and generator parameter follows
+# the rule of positive_real, which every level, level grid and generator parameter follows
 _POSITIVE_REALS = [0.5, 1, np.float32(0.5), np.longdouble(0.5), np.int64(2), np.uint8(1), 10**20]
 _NOT_POSITIVE_REALS = [
     True, np.True_, "0.5", None, 0.5 + 0j, Fraction(1, 2), Decimal("0.5"), np.array(0.5),
@@ -287,7 +286,7 @@ def _case_id(v):
 )
 def test_one_positive_real_rule(p1, x, accepted):
     checks = [
-        (lambda: Level(x), "bad-level"),
+        (lambda: truncated_variation(p1, x), "bad-level"),
         (lambda: sweep(p1, [x]), "bad-level-grid"),
         (lambda: generate(GeneratorSpec("ramp", 3, scale=x)), "bad-generator-spec"),
         (lambda: generate(GeneratorSpec("jump-mixture", 3, extra={"jump_scale": x})),

@@ -319,6 +319,14 @@ def test_negation_duality(vals, c):
     assert np.array_equal(m.highs, -d.lows)
 
 
+def assert_first_triggers_are_first_passages(p, c, d):
+    # the first trigger is one of the two first passages; before it no two
+    # samples lie c apart, so from it on each window's running extreme is the
+    # one from sample 0, and the next trigger is the other first passage
+    assert first_up_time(p, c) == (int(d.up_times[0]) if d.up_times.size else None)
+    assert first_down_time(p, c) == (int(d.down_times[0]) if d.down_times.size else None)
+
+
 @given(values_st, level_st)
 @settings(deadline=None, max_examples=60)
 def test_direction_none_iff_no_first_times(vals, c):
@@ -326,11 +334,13 @@ def test_direction_none_iff_no_first_times(vals, c):
     d = detect_regimes(p, c)
     none_expected = first_up_time(p, c) is None and first_down_time(p, c) is None
     assert (d.first_direction == "none") == none_expected
+    assert_first_triggers_are_first_passages(p, c, d)
 
 
 def test_decomposition_properties_on_corpus():
     for path, c in mixed_corpus(60, seed=5150, max_len=80):
         d = check_decomposition(path, c)
+        assert_first_triggers_are_first_passages(path, c, d)
         kinds = [k for k, _ in running_extremes(path, d)]
         assert len(kinds) == path.n
 

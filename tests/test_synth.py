@@ -21,6 +21,26 @@ def test_splitmix64_known_answers():
     assert splitmix64(0, 3).tolist() == _SPLITMIX64_SEED0
 
 
+@pytest.mark.parametrize("stream", [splitmix64, uniform_stream])
+@pytest.mark.parametrize("args", [
+    (1, 2.5), (1.5, 2), (1, 2, 0.5),  # no float is truncated to an integer
+    (1, True), (True, 2), (1, 2, False), (np.True_, 2),  # nor is a bool read as one
+    ("1", 2), (1, "2"), (1, None), (1, 2, "0"),
+    (1, -1), (1, 2, -1),  # count and start are >= 0
+], ids=repr)
+def test_streams_take_integers(stream, args):
+    with pytest.raises(PathError) as err:
+        stream(*args)
+    assert err.value.code == "bad-generator-spec"
+
+
+def test_streams_take_numpy_integers_and_wrap_negative_seeds():
+    numpy_args = splitmix64(np.int64(42), np.uint8(4), np.int32(6))
+    assert numpy_args.tolist() == splitmix64(42, 4, 6).tolist()
+    assert splitmix64(-1, 3).tolist() == splitmix64(2**64 - 1, 3).tolist()
+    assert uniform_stream(-5, 3).tolist() == uniform_stream(2**64 - 5, 3).tolist()
+
+
 def test_splitmix64_counter_mode_is_consistent():
     whole = splitmix64(42, 10)
     assert splitmix64(42, 4, start=6).tolist() == whole[6:].tolist()
@@ -114,7 +134,8 @@ def test_bad_spec_rejected():
         GeneratorSpec("ramp", 5, seed="3"),
         GeneratorSpec("ramp", 5, seed=2.5),
         GeneratorSpec("ramp", 5, seed=None),
-        # scale and the knobs are positive reals by the rule of Level
+        GeneratorSpec("ramp", 5, seed=-1),  # a spec's seed is >= 0
+        # scale and the knobs are positive reals by the rule of positive_real
         GeneratorSpec("ramp", 5, scale=True),
         GeneratorSpec("ramp", 5, scale="2"),
         GeneratorSpec("ramp", 5, scale=10**400),

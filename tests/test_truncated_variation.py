@@ -77,7 +77,7 @@ class TestFastPath:
 
     @pytest.mark.parametrize("c", [True, "0.5", None, pytest.param(10**400, id="10**400")])
     def test_level_must_be_a_real_number(self, p1, c):
-        # the rules of Level: a bool or a string is no level, even if float() takes it
+        # the rule of positive_real: a bool or a string is no level, even if float() takes it
         with pytest.raises(PathError) as err:
             truncated_variation(p1, c)
         assert err.value.code == "bad-level"
@@ -170,7 +170,7 @@ class TestSweep:
             assert err.value.code == "bad-level-grid"
 
     def test_takes_the_levels_level_takes(self, p1):
-        # Python ints past int64 make an object array; each is a valid Level
+        # Python ints past int64 make an object array; each is a valid level
         curve = sweep(p1, [0.5, 10**20])
         assert curve.tv_values.tolist() == [truncated_variation(p1, c).tv for c in (0.5, 10**20)]
 
@@ -202,6 +202,11 @@ class TestL1UpperBound:
         with pytest.raises(PathError) as err:
             l1_upper_bound([p1, p3], 0.5)
         assert err.value.code == "domain-mismatch"
+
+    def test_no_components_is_an_empty_path(self):
+        with pytest.raises(PathError) as err:
+            l1_upper_bound([], 1.0)
+        assert err.value.code == "empty-path"
 
     @pytest.mark.parametrize("points", [1, None, float("inf"), "x", float("nan"), "3"])
     def test_bad_grid_points_is_a_level_grid_error(self, p1, points):
