@@ -6,7 +6,7 @@ This is the one list of what runs natively. The library holds:
 - ``window_scan``, the trigger state machine of ``_scan.full_scan``,
   ``_scan.rise_fall``, ``regime_detector.detect_regimes`` and the
   totals-only ``_scan.tv_scan`` (behind ``truncated_variation``, the final
-  sum of ``l1_upper_bound`` and the CLI's ``tv`` and ``bench``), all four
+  sum of ``l1_upper_bound`` and the CLI's ``tv``), all four
   run through ``_scan._machine``. It shares its contract with the Python
   machine ``_scan._window_scan``: as it walks the samples it writes only
   the outputs it is handed (a null pointer skips one), the window starts

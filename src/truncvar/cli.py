@@ -6,14 +6,11 @@ digest of the input path, the level(s) used, the operation's results, and
 milliseconds (the ``--prefix`` curves included, the ``--oracle`` check
 not). Each command computes only what it prints: ``tv --prefix`` reads its
 totals off the curves' last entries, and ``decompose`` builds no band.
-Commands that read or write path files put ``codec`` before ``wall_ms``
-(``bench`` reports it too): ``native`` when the process loaded the native
-library and ``python`` when it runs the Python routes; ``_native`` lists
-what the library runs. ``bench`` also reports ``backend``, the route of
-the totals-only scan it times, which is the same ``native``/``python``;
-the library is loaded before its clock starts. A file
-the native reader refuses is parsed by the Python line parser, still under
-``codec=native``. They add ``read_ms`` (when a file was read), ``write_ms``
+Every report puts ``codec`` before ``wall_ms``: ``native`` when the
+process loaded the native library and ``python`` when it runs the Python
+routes; ``_native`` lists what the library runs. A file the native reader
+refuses is parsed by the Python line parser, still under
+``codec=native``. Reports add ``read_ms`` (when a file was read), ``write_ms``
 (when files were written) and ``peak_rss_kb``, the process's peak resident
 set size from ``getrusage`` (KiB on Linux). Floats are rendered with
 shortest round-trip precision. Exit codes: 0 success, 2 bad usage, 3
@@ -216,25 +213,6 @@ def _cmd_gen(args):
     return entries + _file_stages(wall_ms, write_ms=write_ms)
 
 
-def _cmd_bench(args):
-    path = generate(GeneratorSpec(kind="random-walk", length=args.length, seed=args.seed))
-    route = codec()  # loads (on first use, builds) the library before the clock starts
-    result, elapsed_ms = _timed(truncated_variation, path, args.level)
-    return [
-        ("command", "bench"),
-        *_digest(path),
-        ("c", float(args.level)),
-        ("utv", result.utv),
-        ("dtv", result.dtv),
-        ("tv", result.tv),
-        ("backend", route),
-        ("codec", route),
-        ("elapsed_ms", elapsed_ms),
-        ("samples_per_second", path.n * 1e3 / elapsed_ms if elapsed_ms > 0 else float("inf")),
-        ("wall_ms", elapsed_ms),
-    ]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truncvar",
@@ -288,12 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         gen.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen)
-
-    bench = sub.add_parser("bench", help="one-pass throughput on a generated walk")
-    bench.add_argument("--length", type=int, default=10_000_000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("-c", "--level", type=float, default=1.0)
-    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 

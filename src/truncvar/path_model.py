@@ -189,10 +189,15 @@ def sup_distance(f: SampledPath, g: SampledPath) -> float:
 
     For step functions the supremum over the continuum is attained on the
     union of the two breakpoint sets, so that is all that gets evaluated.
+    A distance past float64 is PathError ``value-span-overflow``.
     """
     _require_same_domain(f, g)
     _, fv, gv = _on_union_grid(f, g)
-    return float(np.max(np.abs(fv - gv)))
+    with np.errstate(over="ignore"):  # an overflowed difference raises below
+        distance = float(np.max(np.abs(fv - gv)))
+    if not np.isfinite(distance):
+        raise PathError("value-span-overflow", "the distance between the paths overflows float64")
+    return distance
 
 
 def negate(path: SampledPath) -> SampledPath:

@@ -10,6 +10,7 @@ dynamic program and exists purely to cross-check the scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,7 +193,7 @@ def l1_upper_bound(
     if c / n_comp == 0.0:
         raise PathError("bad-level", f"level {c!r} is too small to split across {n_comp} components")
     # at least one ulp of c, so that c minus the other levels stays above 0
-    floor = min(max(1e-12 * max(osc_norm(p) for p in comps), float(np.spacing(c))), c / n_comp)
+    floor = min(max(1e-12 * max(osc_norm(p) for p in comps), math.ulp(c)), c / n_comp)
     pieces = [q[q > floor] for q in (_persistence(p.values) for p in comps)]
     ends = np.concatenate(pieces)  # piece k of a component ends at its q[k]
     lengths = np.concatenate([np.diff(q, prepend=floor) for q in pieces])

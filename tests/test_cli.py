@@ -100,6 +100,18 @@ class TestTvCommand:
             pathio.format_number(x) for x in (ref.utv, ref.dtv, ref.tv)
         )
 
+    def test_library_loads_before_the_clock_starts(self, p1_file, monkeypatch, capsys):
+        # read_path loads (on first use, builds) the library under the read
+        # clock, so the first build never lands in wall_ms, the second clock
+        events = []
+        library, timed = _native.library, cli._timed
+        monkeypatch.setattr(_native, "library", lambda: events.append("library") or library())
+        monkeypatch.setattr(cli, "_timed", lambda *a: events.append("clock") or timed(*a))
+        assert main(["tv", p1_file, "-c", "0.6"]) == 0
+        clocks = [i for i, event in enumerate(events) if event == "clock"]
+        assert len(clocks) == 2
+        assert "library" in events[: clocks[1]]
+
     def test_prefix_flag(self, p1_file, p1, tmp_path, capsys):
         out = tmp_path / "prefix.csv"
         assert main(["tv", p1_file, "-c", "0.6", "--prefix", str(out)]) == 0
@@ -227,26 +239,6 @@ class TestGenCommand:
 
 
 @pytest.mark.both_routes
-class TestBenchCommand:
-    def test_small_bench_reports_throughput(self, capsys):
-        assert main(["bench", "--length", "20000", "--seed", "1"]) == 0
-        rep = report_of(capsys)
-        assert float(rep["samples_per_second"]) > 0
-        assert rep["n"] == "20000"
-        assert rep["backend"] == rep["codec"] == pathio.codec()
-
-    def test_library_loads_before_the_clock_starts(self, monkeypatch, capsys):
-        # a first use may build the library; that must not land in elapsed_ms
-        events = []
-        library, timed = _native.library, cli._timed
-        monkeypatch.setattr(_native, "library", lambda: events.append("library") or library())
-        monkeypatch.setattr(cli, "_timed", lambda *a: events.append("clock") or timed(*a))
-        assert main(["bench", "--length", "2000", "--seed", "1"]) == 0
-        assert events.count("clock") == 1
-        assert "library" in events[: events.index("clock")]
-
-
-@pytest.mark.both_routes
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["tv", str(tmp_path / "nope.csv"), "-c", "0.5"]) == 5
@@ -282,7 +274,7 @@ class TestExitCodes:
         assert "bad-level-grid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["gen", "--kind", "ramp", "--out", "x.csv"], ["bench"]])
+    @pytest.mark.parametrize("command", [["gen", "--kind", "ramp", "--out", "x.csv"]])
     def test_oversized_generator_length_exit_4(self, tmp_path, monkeypatch, capsys, command):
         # 10**19 samples fail before anything is allocated
         monkeypatch.chdir(tmp_path)
@@ -303,6 +295,7 @@ class TestExitCodes:
     def test_bad_usage_exit_2(self, capsys):
         assert main(["tv"]) == 2
         assert main(["frobnicate"]) == 2
+        assert main(["bench", "--length", "100"]) == 2
 
     def test_unwritable_output_exit_5(self, p1_file, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -426,13 +419,10 @@ def test_reports_name_the_codec(p1_file, tmp_path, capsys):
     # codec sits just before wall_ms and names the route pathio takes
     out = str(tmp_path / "out.csv")
     for argv in (["tv", p1_file, "-c", "0.6"], ["gen", "--kind", "ramp", "--length", "5",
-                 "--out", out], ["bench", "--length", "100"]):
+                 "--out", out]):
         assert main(argv) == 0
         keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
-        if argv[0] == "bench":
-            assert keys.index("codec") == keys.index("backend") + 1
-        else:
-            assert keys.index("codec") == keys.index("wall_ms") - 1
+        assert keys.index("codec") == keys.index("wall_ms") - 1
     assert main(["tv", p1_file, "-c", "0.6"]) == 0
     assert report_of(capsys)["codec"] == pathio.codec()
 
@@ -485,11 +475,6 @@ def test_every_report_has_its_exact_key_sequence(p1_file, tmp_path, capsys):
              "2", "--amplitude-ratio", "0.5", "--out", out],
             [*gen_keys, "amplitude_ratio", "target_level", "out", "codec", "wall_ms",
              "write_ms", "peak_rss_kb"],
-        ),
-        (
-            ["bench", "--length", "100"],
-            ["command", *DIGEST_KEYS, "c", "utv", "dtv", "tv", "backend", "codec", "elapsed_ms",
-             "samples_per_second", "wall_ms"],
         ),
     ]
     for argv, keys in runs:

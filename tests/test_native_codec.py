@@ -289,9 +289,11 @@ def test_a_build_prunes_libraries_of_earlier_sources(loader, tmp_path):
     ]
     for file in stale + kept:
         file.write_bytes(b"not a shared object")
+    refused = cache / f"_native-{machine}-deadbeef.so"  # unlink raises IsADirectoryError
+    refused.mkdir()
     assert _native.library() is not None
     name = _native._library_name(_native._SOURCE.read_bytes(), _native._FLAGS)
-    assert sorted(os.listdir(cache)) == sorted([name, *(file.name for file in kept)])
+    assert sorted(os.listdir(cache)) == sorted([name, refused.name, *(f.name for f in kept)])
 
 
 def test_library_name_is_keyed_by_source_and_flags():

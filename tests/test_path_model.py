@@ -108,6 +108,12 @@ class TestFunctionals:
         const = make_path(p1.times, np.full(5, 0.6))
         assert sup_distance(p1, const) == pytest.approx(0.6, abs=1e-12)
 
+    def test_sup_distance_overflow(self):
+        high, low = make_path([0, 1], [1e308, 1e308]), make_path([0, 1], [-1e308, -1e308])
+        with pytest.raises(PathError) as err:
+            sup_distance(high, low)
+        assert err.value.code == "value-span-overflow"
+
     def test_sup_distance_domain_mismatch(self, p1, p3):
         with pytest.raises(PathError) as err:
             sup_distance(p1, p3)

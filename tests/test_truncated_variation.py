@@ -1,4 +1,5 @@
 import importlib
+import sys
 import warnings
 
 import numpy as np
@@ -226,6 +227,12 @@ class TestL1UpperBound:
         bound, split = l1_upper_bound([p, p], 3.0)
         assert split == [2.0, 1.0]
         assert bound == scanned_sum([p, p], split) == 6.0
+
+    def test_largest_level(self):
+        # one ulp of the largest float is 2**971; numpy gives its spacing as inf
+        p = make_path([0, 1, 2], [0.0, 1.0, 0.0])
+        bound, split = l1_upper_bound([p, p], sys.float_info.max)
+        assert (bound, split) == (0.0, [1.7976931348623155e308, 1.99584030953472e292])
 
     @pytest.mark.parametrize("n_comp, c", [(2, 5e-324), (3, 5e-324), (4, 1e-323)])
     def test_level_too_small_to_split(self, p1, n_comp, c):
