@@ -20,13 +20,8 @@ from .optimal_approx import (
 from .path_model import (
     PathError,
     SampledPath,
-    add_constant,
-    combine,
-    evaluate,
     make_path,
-    negate,
     osc_norm,
-    sup_distance,
     total_variation,
 )
 from .regime_detector import (
@@ -58,10 +53,7 @@ __all__ = [
     "SampledPath",
     "SweepCurve",
     "TruncatedVariations",
-    "add_constant",
-    "combine",
     "detect_regimes",
-    "evaluate",
     "first_down_time",
     "first_up_time",
     "generate",
@@ -69,14 +61,12 @@ __all__ = [
     "l1_upper_bound",
     "lazy_approximation",
     "make_path",
-    "negate",
     "oracle_truncated_variation",
     "osc_norm",
     "prefix_curves",
     "running_extremes",
     "splitmix64",
     "step_skeleton",
-    "sup_distance",
     "sweep",
     "total_variation",
     "truncated_variation",

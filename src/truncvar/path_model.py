@@ -22,7 +22,7 @@ class PathError(ValueError):
     ``non-finite``, ``times-not-increasing``, ``value-span-overflow``,
     ``tv-overflow`` (a truncated variation total overflows float64),
     ``band-overflow`` (the band ``c/2`` around a value passes float64),
-    ``outside-domain``, ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
+    ``domain-mismatch``, ``bad-level``, ``bad-level-grid``,
     ``stale-decomposition``, ``bad-decomposition`` (trigger times that no scan
     gives), ``unknown-generator``, ``bad-generator-spec``.
     """
@@ -139,17 +139,6 @@ def make_path(times: Sequence[float], values: Sequence[float]) -> SampledPath:
     return SampledPath(_frozen(t), _frozen(v))
 
 
-def evaluate(path: SampledPath, t: float) -> float:
-    """Value of the step function at time ``t`` (right-continuous semantics);
-    ``t`` is a :func:`real_number` in the domain, else PathError ``outside-domain``."""
-    t = real_number(t, "outside-domain", "t")
-    lo, hi = path.domain
-    if not (lo <= t <= hi):
-        raise PathError("outside-domain", f"t={t!r} outside domain [{lo}, {hi}]")
-    i = int(np.searchsorted(path.times, t, side="right")) - 1
-    return float(path.values[i])
-
-
 def checked_total(total: float) -> float:
     """``total`` if it is finite, else PathError ``tv-overflow``."""
     if not math.isfinite(total):
@@ -168,65 +157,3 @@ def total_variation(path: SampledPath) -> float:
 def osc_norm(path: SampledPath) -> float:
     """Largest difference between any two values: max - min."""
     return float(np.max(path.values) - np.min(path.values))
-
-
-def _require_same_domain(f: SampledPath, g: SampledPath) -> None:
-    if f.domain != g.domain:
-        raise PathError(
-            "domain-mismatch", f"domains differ: {f.domain} vs {g.domain}"
-        )
-
-
-def _on_union_grid(f: SampledPath, g: SampledPath):
-    t = np.union1d(f.times, g.times)
-    fv = f.values[np.searchsorted(f.times, t, side="right") - 1]
-    gv = g.values[np.searchsorted(g.times, t, side="right") - 1]
-    return t, fv, gv
-
-
-def sup_distance(f: SampledPath, g: SampledPath) -> float:
-    """Uniform distance between two paths sharing a domain.
-
-    For step functions the supremum over the continuum is attained on the
-    union of the two breakpoint sets, so that is all that gets evaluated.
-    A distance past float64 is PathError ``value-span-overflow``.
-    """
-    _require_same_domain(f, g)
-    _, fv, gv = _on_union_grid(f, g)
-    with np.errstate(over="ignore"):  # an overflowed difference raises below
-        distance = float(np.max(np.abs(fv - gv)))
-    if not np.isfinite(distance):
-        raise PathError("value-span-overflow", "the distance between the paths overflows float64")
-    return distance
-
-
-def negate(path: SampledPath) -> SampledPath:
-    """Pointwise negation; shares the time grid."""
-    return SampledPath(path.times, _frozen(-path.values))
-
-
-def add_constant(path: SampledPath, alpha: float) -> SampledPath:
-    """Shift all values by ``alpha`` on the same time grid, checked by :func:`make_path`."""
-    a = real_number(alpha, "non-finite", "shift")
-    with np.errstate(over="ignore"):  # an overflowed value raises non-finite
-        return make_path(path.times, path.values + a)
-
-
-def combine(
-    f: SampledPath, g: SampledPath, weights: tuple[float, float] = (1.0, 1.0)
-) -> SampledPath:
-    """Weighted pointwise sum ``weights[0]*f + weights[1]*g`` on the union grid.
-
-    Both operands are resampled on the union of their breakpoints first, so
-    the result is exact under step semantics. Needs identical domains and two
-    weights (PathError ``length-mismatch``), each a :func:`real_number`.
-    """
-    _require_same_domain(f, g)
-    w = real_numbers(weights, "non-finite", "weight")
-    if w.ndim != 1:
-        raise PathError("non-finite", "each weight must be a real number")
-    if w.size != 2:
-        raise PathError("length-mismatch", f"need two weights, got {w.size}")
-    t, fv, gv = _on_union_grid(f, g)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises non-finite
-        return make_path(t, w[0] * fv + w[1] * gv)

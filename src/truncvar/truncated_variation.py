@@ -3,9 +3,9 @@
 The level-c truncated variation of a path is the largest total of
 ``(|increment| - c)+`` over any subsequence of samples; the upward and
 downward variants use the signed increment instead of its absolute value.
-The fast path reads all three off the regime scan in O(n). The oracle
-computes them straight from that defining maximization with an O(n^2)
-dynamic program and exists purely to cross-check the scan.
+The fast path reads all three off one walk of ``_scan``'s trigger machine
+in O(n). The oracle computes them straight from that defining maximization
+with an O(n^2) dynamic program and exists purely to cross-check the scan.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def oracle_truncated_variation(path: SampledPath, c) -> TruncatedVariations:
     """Quadratic partition oracle evaluated straight from the definition.
 
     Each of the three quantities runs its own dynamic program over sample
-    indices, independent of the regime scan. Because the path is constant
-    between samples, the maximum over index subsequences is the exact
-    supremum over all partitions of the domain. Intended for n up to ~1e4.
+    indices, independent of ``_scan``'s trigger machine. Because the path is
+    constant between samples, the maximum over index subsequences is the
+    exact supremum over all partitions of the domain. Intended for n up to ~1e4.
     """
     c = level_value(c)
     x = path.values

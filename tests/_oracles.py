@@ -23,6 +23,20 @@ def path_from(vals):
     return make_path(np.arange(len(vals), dtype=float), vals)
 
 
+def negate(path):
+    """The path with every value negated, on the same times."""
+    return make_path(path.times, -path.values)
+
+
+def sup_distance(f, g) -> float:
+    """Largest gap between two step paths, taken on the union of their grids
+    (where the supremum of two step functions is attained)."""
+    t = np.union1d(f.times, g.times)
+    fv = f.values[np.searchsorted(f.times, t, side="right") - 1]
+    gv = g.values[np.searchsorted(g.times, t, side="right") - 1]
+    return float(np.max(np.abs(fv - gv)))
+
+
 def exhaustive_truncated(values, c: float, mode: int) -> float:
     """Max over all index subsequences of summed clamped increments.
 

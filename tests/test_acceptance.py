@@ -18,11 +18,9 @@ from truncvar import (
     jordan_pair,
     lazy_approximation,
     make_path,
-    negate,
     oracle_truncated_variation,
     osc_norm,
     prefix_curves,
-    sup_distance,
     sweep,
     total_variation,
     truncated_variation,
@@ -33,7 +31,7 @@ from truncvar._scan import full_scan
 from truncvar.cli import main
 from truncvar.pathio import read_path, write_path
 
-from _oracles import exhaustive_truncated, mixed_corpus, skeleton_scan
+from _oracles import exhaustive_truncated, mixed_corpus, negate, skeleton_scan, sup_distance
 from conftest import python_route
 
 CORPUS = mixed_corpus(1000, seed=20260810, max_len=200)

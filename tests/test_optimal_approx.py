@@ -11,11 +11,9 @@ from truncvar import (
     jordan_pair,
     lazy_approximation,
     make_path,
-    negate,
     osc_norm,
     prefix_curves,
     step_skeleton,
-    sup_distance,
     total_variation,
     truncated_variation,
     uniform_stream,
@@ -27,9 +25,11 @@ from _oracles import (
     level_st,
     mixed_corpus,
     monotone_parts,
+    negate,
     path_from,
     prefix_total_variation,
     step_skeleton_loop,
+    sup_distance,
 )
 
 # full_scan and step_skeleton have a native and a Python route

@@ -10,21 +10,16 @@ from hypothesis import strategies as st
 from truncvar import (
     GeneratorSpec,
     PathError,
-    add_constant,
-    combine,
-    evaluate,
     generate,
     make_path,
-    negate,
     osc_norm,
-    sup_distance,
     sweep,
     total_variation,
     truncated_variation,
 )
 from truncvar.path_model import real_numbers
 
-from _oracles import path_from
+from _oracles import negate, path_from, sup_distance
 
 values_st = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=40
@@ -75,22 +70,6 @@ class TestMakePath:
             p1.values[0] = 9.0
 
 
-class TestEvaluate:
-    def test_holds_value_between_samples(self, p1):
-        assert evaluate(p1, 2.5) == 0.2
-
-    def test_right_continuous_at_breakpoint(self, p1):
-        assert evaluate(p1, 1.0) == 1.0
-
-    def test_constant(self, p3):
-        assert evaluate(p3, 0.7) == 5.0
-
-    def test_outside_domain(self, p1):
-        with pytest.raises(PathError) as err:
-            evaluate(p1, 4.5)
-        assert err.value.code == "outside-domain"
-
-
 class TestFunctionals:
     def test_total_variation_examples(self, p1, p3, ramp3):
         assert total_variation(p1) == pytest.approx(3.8, abs=1e-12)
@@ -108,109 +87,6 @@ class TestFunctionals:
         const = make_path(p1.times, np.full(5, 0.6))
         assert sup_distance(p1, const) == pytest.approx(0.6, abs=1e-12)
 
-    def test_sup_distance_overflow(self):
-        high, low = make_path([0, 1], [1e308, 1e308]), make_path([0, 1], [-1e308, -1e308])
-        with pytest.raises(PathError) as err:
-            sup_distance(high, low)
-        assert err.value.code == "value-span-overflow"
-
-    def test_sup_distance_domain_mismatch(self, p1, p3):
-        with pytest.raises(PathError) as err:
-            sup_distance(p1, p3)
-        assert err.value.code == "domain-mismatch"
-
-
-class TestAlgebra:
-    def test_negate(self, p3):
-        assert negate(p3).values.tolist() == [-5.0, -5.0]
-
-    def test_add_constant(self, p3):
-        assert add_constant(p3, 1).values.tolist() == [6.0, 6.0]
-
-    def test_add_constant_rejects_overflow(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(PathError) as err:
-                add_constant(make_path([0, 1, 2], [0, 1e308, 0]), 1e308)
-        assert err.value.code == "non-finite"
-        # both shifted values are finite, but their span rounds past float64
-        p = make_path([0, 1], [-9.886001176613491e307, 8.090930172009666e307])
-        with pytest.raises(PathError) as err:
-            add_constant(p, 2.161068974061451e306)
-        assert err.value.code == "value-span-overflow"
-
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            pytest.param(10**400, id="10**400"),
-            "a",
-            None,
-            pytest.param("1", id="str-1"),
-            pytest.param(b"1", id="bytes-1"),
-            pytest.param(np.str_("1"), id="np.str_-1"),
-        ],
-    )
-    def test_add_constant_rejects_a_shift_that_is_no_finite_number(self, p3, alpha):
-        with pytest.raises(PathError) as err:
-            add_constant(p3, alpha)
-        assert err.value.code == "non-finite"
-
-    def test_combine_union_grid(self):
-        f = make_path([0, 2], [1.0, 1.0])
-        g = make_path([0, 1, 2], [0.0, 2.0, 2.0])
-        h = combine(f, g)
-        assert h.times.tolist() == [0, 1, 2]
-        assert h.values.tolist() == [1.0, 3.0, 3.0]
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            ("a", 1),
-            (float("inf"), 1),
-            (1, float("nan")),
-            (10**400, 1),
-            (1e308, 1e308),
-            ("0.5", 1),  # finite sums on this path, so only the string is at fault
-            (1, b"0.5"),
-        ],
-    )
-    def test_combine_rejects_bad_weights_without_warnings(self, weights):
-        f = make_path([0, 1], [1e308, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(PathError) as err:
-                combine(f, f, weights)
-        assert err.value.code == "non-finite"
-
-    @pytest.mark.parametrize(
-        "weights, code",
-        [
-            ((1, 2, 3), "length-mismatch"),  # the third weight is not dropped
-            (np.ones(3), "length-mismatch"),
-            ([1], "length-mismatch"),
-            ((), "length-mismatch"),
-            ([[1.0], [2.0]], "non-finite"),  # two weights, each no number
-        ],
-    )
-    def test_combine_takes_exactly_two_weights(self, p3, weights, code):
-        with pytest.raises(PathError) as err:
-            combine(p3, p3, weights)
-        assert err.value.code == code
-
-    def test_combine_domain_mismatch(self, p1, p3):
-        with pytest.raises(PathError):
-            combine(p1, p3)
-
-
-@given(values_st, st.integers(min_value=0, max_value=39))
-@settings(deadline=None)
-def test_right_continuity(vals, i):
-    p = path_from(vals)
-    i = i % p.n
-    t = float(p.times[i])
-    assert evaluate(p, t) == p.values[i]
-    if i + 1 < p.n:
-        assert evaluate(p, t + 0.5) == p.values[i]
 
 
 @given(values_st)
@@ -225,7 +101,7 @@ def test_negation_keeps_total_variation(vals):
 def test_shift_keeps_oscillation(vals, alpha):
     p = path_from(vals)
     tol = 1e-9 * max(1.0, osc_norm(p))
-    assert abs(osc_norm(add_constant(p, alpha)) - osc_norm(p)) <= tol
+    assert abs(osc_norm(make_path(p.times, p.values + alpha)) - osc_norm(p)) <= tol
 
 
 @given(values_st, values_st, values_st)
@@ -245,8 +121,8 @@ def test_redundant_breakpoints_keep_total_variation(vals):
     p = path_from(vals)
     # refine the grid with midpoints carrying zero contribution
     fine_times = np.sort(np.concatenate([p.times, p.times[:-1] + 0.5]))
-    zero = make_path(fine_times, np.zeros(fine_times.size)) if p.n > 1 else p
-    refined = combine(p, zero, (1.0, 0.0)) if p.n > 1 else p
+    held = np.searchsorted(p.times, fine_times, side="right") - 1
+    refined = make_path(fine_times, p.values[held])
     assert total_variation(refined) == pytest.approx(total_variation(p), abs=1e-12)
 
 
@@ -309,8 +185,8 @@ def test_one_positive_real_rule(p1, x, accepted):
         assert sweep(p1, [x]).tv_values.tolist() == [truncated_variation(p1, x).tv]
 
 
-# the rule of every number a path is built from: a time, a value, a shift, a
-# weight or the t of evaluate, alone or in a list, a tuple or an int or float array
+# the rule of every number a path is built from: a time or a value, alone or in
+# a list, a tuple or an int or float array
 _REALS = [0.5, -2, 0, -0.0, np.float32(0.5), np.longdouble(0.5), np.int64(-2), np.uint8(1), 10**20]
 _NOT_REALS = [
     True, np.True_, "0.5", b"1", None, 0.5 + 0j, Fraction(1, 2), Decimal("0.5"), np.array(0.5),
@@ -351,10 +227,8 @@ def test_one_real_number_rule(x, accepted, listed):
         calls = [
             (lambda v: make_path(v, [0.0, 1.0]).times.tolist(), "non-finite"),
             (lambda v: make_path([0, 1], v).values.tolist(), "non-finite"),
-            (lambda v: combine(wide, wide, v).values.tolist(), "non-finite"),
         ]
-        never = [(lambda v: add_constant(wide, v), "non-finite"),
-                 (lambda v: evaluate(wide, v), "outside-domain")]
+        never = [(lambda v: truncated_variation(wide, v), "bad-level")]
     else:  # as float(x), else refused
         reference = float(x) if accepted else None
         # a sequence in the list of samples is one more dimension
@@ -362,10 +236,6 @@ def test_one_real_number_rule(x, accepted, listed):
         calls = [
             (lambda v: make_path([v], [0.0]).times.tolist(), entry),
             (lambda v: make_path([0.0], [v]).values.tolist(), entry),
-            (lambda v: add_constant(wide, v).values.tolist(), "non-finite"),
-            (lambda v: combine(wide, wide, (v, 0)).values.tolist(), "non-finite"),
-            (lambda v: combine(wide, wide, (0, v)).values.tolist(), "non-finite"),
-            (lambda v: evaluate(wide, v), "outside-domain"),
         ]
         never = []
     for call, code in never if accepted else calls + never:

@@ -12,13 +12,12 @@ from truncvar import (
     first_down_time,
     first_up_time,
     make_path,
-    negate,
     running_extremes,
 )
 
 from truncvar.regime_detector import _FIRST_BLOCK, _KINDS
 
-from _oracles import full_scan_loop, level_st, mixed_corpus, path_from
+from _oracles import full_scan_loop, level_st, mixed_corpus, negate, path_from
 
 pytestmark = pytest.mark.both_routes  # detect_regimes calls _machine with starts and a skeleton
 

@@ -15,7 +15,6 @@ from truncvar import (
     lazy_approximation,
     l1_upper_bound,
     make_path,
-    negate,
     oracle_truncated_variation,
     osc_norm,
     generate,
@@ -31,6 +30,7 @@ from _oracles import (
     exhaustive_truncated,
     level_st,
     mixed_corpus,
+    negate,
     path_from,
     persistence_union_find,
     skeleton_scan,
