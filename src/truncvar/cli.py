@@ -3,9 +3,9 @@
 Every subcommand prints a flat ``key=value`` report: the command name, a
 digest of the input path, the level(s) used, the operation's results, and
 ``wall_ms``, the wall time of all of the command's computation in
-milliseconds (the ``--prefix`` curves included, the ``--oracle`` check
-not). Each command computes only what it prints: ``tv --prefix`` reads its
-totals off the curves' last entries, and ``decompose`` builds no band.
+milliseconds (the ``--prefix`` curves included). Each command computes
+only what it prints: ``tv --prefix`` reads its totals off the curves'
+last entries, and ``decompose`` builds no band.
 Every report puts ``codec`` before ``wall_ms``: ``native`` when the
 process loaded the native library and ``python`` when it runs the Python
 routes; ``_native`` lists what the library runs. A file the native reader
@@ -45,12 +45,7 @@ from .pathio import (
     write_path,
 )
 from .synth import _EXTRA_KEYS, KINDS, GeneratorSpec, generate
-from .truncated_variation import (
-    oracle_truncated_variation,
-    prefix_curves,
-    sweep,
-    truncated_variation,
-)
+from .truncated_variation import prefix_curves, sweep, truncated_variation
 
 EXIT_OK = 0
 EXIT_MALFORMED = 3
@@ -127,12 +122,6 @@ def _cmd_tv(args):
         curves, wall_ms = _timed(prefix_curves, path, args.level)
         totals = tuple(float(curve[-1]) for curve in curves)
     entries += [("c", float(args.level)), *zip(("utv", "dtv", "tv"), totals)]
-    if args.oracle:
-        ref = oracle_truncated_variation(path, args.level)
-        ref_totals = (ref.utv, ref.dtv, ref.tv)
-        entries += zip(("oracle_utv", "oracle_dtv", "oracle_tv"), ref_totals)
-        disc = max(abs(a - b) for a, b in zip(totals, ref_totals))
-        entries.append(("oracle_discrepancy", disc))
     if args.prefix is not None:
         columns = (path.times, *curves)
         _, write_ms = _timed(write_columns, args.prefix, ("time", "utv", "dtv", "tv"), columns)
@@ -225,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     at_level.add_argument("-c", "--level", type=float, required=True, help="level c > 0")
 
     tv = sub.add_parser("tv", parents=[at_level], help="truncated variation at one level")
-    tv.add_argument("--oracle", action="store_true", help="also run the quadratic oracle")
     tv.add_argument("--prefix", metavar="FILE", help="write per-sample curves to FILE")
     tv.set_defaults(handler=_cmd_tv)
 

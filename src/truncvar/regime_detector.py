@@ -47,8 +47,9 @@ class RegimeDecomposition:
     of every peak window, trailing partial window included, so one of the
     two lists is usually one element longer than its trigger list.
 
-    ``n`` and ``c`` record the source path length and level so consumers
-    can detect a stale decomposition.
+    ``n`` and ``c`` record the source path length and level. Only ``n`` is
+    checked (``stale-decomposition``): :func:`running_extremes` accepts any
+    triggers a scan of the path could give, whatever its level.
     """
 
     first_direction: str
@@ -61,12 +62,14 @@ class RegimeDecomposition:
 
 
 def first_up_time(path: SampledPath, c) -> int | None:
-    """Smallest index whose value sits >= c above the running minimum."""
+    """Smallest index whose value sits >= c above the running minimum. Read off
+    running extremes alone, with no sum, it never raises ``tv-overflow``."""
     return _first_passage(path.values, level_value(c), up=True)
 
 
 def first_down_time(path: SampledPath, c) -> int | None:
-    """Smallest index whose value sits >= c below the running maximum."""
+    """Smallest index whose value sits >= c below the running maximum. Read off
+    running extremes alone, with no sum, it never raises ``tv-overflow``."""
     return _first_passage(path.values, level_value(c), up=False)
 
 

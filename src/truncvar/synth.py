@@ -61,7 +61,7 @@ class GeneratorSpec:
         ``amplitude_ratio`` (default 0.999); the square wave swings by
         ``amplitude_ratio * target_level``, so ratios below 1 stay invisible
         at the target level and ratios above 1 are seen at every swing.
-        ``scale`` is ignored for this kind.
+        A ``scale`` other than 1 is refused for this kind.
     ``scale`` and the knobs follow :func:`~truncvar.path_model.positive_real`;
     ``length`` and ``seed`` are integers, not bools (else PathError
     ``bad-generator-spec``).
@@ -96,6 +96,8 @@ def _check_spec(spec: GeneratorSpec) -> tuple[int, int, float, dict[str, float]]
     if seed < 0:
         raise PathError("bad-generator-spec", "seed must be a nonnegative integer")
     scale = positive_real(spec.scale, "bad-generator-spec", "scale")
+    if spec.kind == "near-threshold-oscillator" and scale != 1.0:
+        raise PathError("bad-generator-spec", "the oscillator takes no scale (it must be 1)")
     if not isinstance(spec.extra, Mapping):
         raise PathError("bad-generator-spec", f"extra must be a mapping, got {spec.extra!r}")
     unknown = set(spec.extra) - set(_EXTRA_KEYS[spec.kind])

@@ -80,11 +80,6 @@ class TestTvCommand:
             ref.tv,
         )
 
-    def test_oracle_flag(self, p1_file, capsys):
-        assert main(["tv", p1_file, "-c", "0.6", "--oracle"]) == 0
-        rep = report_of(capsys)
-        assert float(rep["oracle_discrepancy"]) <= 1e-9
-
     def test_prefix_totals_come_from_the_curves(self, p1_file, p1, tmp_path, capsys,
                                                 monkeypatch):
         ref = truncated_variation(p1, 0.6)
@@ -282,10 +277,17 @@ class TestExitCodes:
         assert "bad-generator-spec" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_generator_scale_exit_4(self, tmp_path, monkeypatch, capsys):
-        # a scale that passes the positive-real rule but whose ramp overflows
+    @pytest.mark.parametrize(
+        "kind, length, scale",
+        [("ramp", "3", "1.7e308"), ("near-threshold-oscillator", "4", "5")],
+        # a scale that passes the positive-real rule but overflows the ramp,
+        # and one the oscillator would ignore
+        ids=["ramp-overflows", "oscillator-takes-no-scale"],
+    )
+    def test_overflowing_generator_scale_exit_4(self, tmp_path, monkeypatch, capsys, kind,
+                                                length, scale):
         monkeypatch.chdir(tmp_path)
-        argv = ["gen", "--kind", "ramp", "--length", "3", "--scale", "1.7e308", "--out", "x.csv"]
+        argv = ["gen", "--kind", kind, "--length", length, "--scale", scale, "--out", "x.csv"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 4
@@ -296,6 +298,7 @@ class TestExitCodes:
         assert main(["tv"]) == 2
         assert main(["frobnicate"]) == 2
         assert main(["bench", "--length", "100"]) == 2
+        assert main(["tv", "x.csv", "-c", "1", "--oracle"]) == 2
 
     def test_unwritable_output_exit_5(self, p1_file, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -437,14 +440,9 @@ def test_every_report_has_its_exact_key_sequence(p1_file, tmp_path, capsys):
     head = ["command", "input", *DIGEST_KEYS]
     tv_keys = [*head, "c", "utv", "dtv", "tv"]
     approx_keys = [*head, "c", "zero_start", "achieved_tv", "sup_error", "out", *READ_WRITE]
-    oracle = ["oracle_utv", "oracle_dtv", "oracle_tv", "oracle_discrepancy"]
     gen_keys = ["command", *DIGEST_KEYS, "kind", "length", "seed", "scale"]
     runs = [
         (["tv", p1_file, "-c", "0.6"], [*tv_keys, "codec", "wall_ms", "read_ms", "peak_rss_kb"]),
-        (
-            ["tv", p1_file, "-c", "0.6", "--oracle"],
-            [*tv_keys, *oracle, "codec", "wall_ms", "read_ms", "peak_rss_kb"],
-        ),
         (["tv", p1_file, "-c", "0.6", "--prefix", out], [*tv_keys, "prefix_file", *READ_WRITE]),
         (["approx", p1_file, "-c", "0.6", "--out", out], approx_keys),
         (["approx", p1_file, "-c", "0.6", "--out", out, "--zero-start"], approx_keys),

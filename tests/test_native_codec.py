@@ -4,7 +4,8 @@
 must give ``float``'s bits on the rows it accepts and return -1 on anything
 outside its subset, so that ``read_path`` re-reads with the line parser.
 The loader must fall back to None, silently, when it cannot build or load,
-and must name its cached build by the source and the compiler flags. Its one
+and must name its cached build by the source and the compiler flags. The
+source must compile under its flags with ``-Wall -Wextra -Werror``. Its one
 function that makes Python objects, ``running_pairs``, must hold the GIL and
 leave no reference or memory behind, and must leave the cyclic GC as enabled
 or disabled as it found it.
@@ -14,6 +15,7 @@ import ctypes
 import gc
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +307,17 @@ def test_library_name_is_keyed_by_source_and_flags():
     for flags in (_native._FLAGS[:-1], (*_native._FLAGS, "-g"), other_opt):
         assert _native._library_name(source, flags) != name
     assert _native._library_name(source + b"\n", _native._FLAGS) != name
+
+
+def test_source_builds_without_warnings(tmp_path):
+    compiler = next(filter(shutil.which, _native._COMPILERS), None)
+    if compiler is None:
+        pytest.skip("no C++ compiler")
+    flags = [*_native._FLAGS, "-Wall", "-Wextra", "-Werror"]
+    argv = [compiler, *flags, "-o", str(tmp_path / "lib.so"), str(_native._SOURCE)]
+    run = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                         timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_failed_load_gives_the_python_route(loader, tmp_path):

@@ -13,6 +13,7 @@ from truncvar import (
     first_up_time,
     make_path,
     running_extremes,
+    truncated_variation,
 )
 
 from truncvar.regime_detector import _FIRST_BLOCK, _KINDS
@@ -36,6 +37,17 @@ class TestFirstTimes:
         assert first_down_time(p1, 0.6) == 2
         assert first_down_time(p1, 1.1) is None
         assert first_down_time(p3, 0.1) is None
+
+    def test_passages_never_sum(self):
+        # rise plus fall is past float64, but a passage reads only the
+        # running extreme, so it is found where the scan raises tv-overflow
+        p = make_path([0, 1, 2], [0.0, 9e307, 0.0])
+        assert first_up_time(p, 1.0) == 1
+        assert first_down_time(p, 1.0) == 2
+        for scan in (detect_regimes, truncated_variation):
+            with pytest.raises(PathError) as err:
+                scan(p, 1.0)
+            assert err.value.code == "tv-overflow"
 
 
 def first_passage_loop(values, c, up):
